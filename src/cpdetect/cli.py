@@ -65,13 +65,17 @@ def cmd_detect(args) -> int:
             trace.append(glr_decision(state, cfg))
         report = {"detector": "glr", "g_trace": trace, "g_final": trace[-1]}
     else:
-        config = CppConfig(
-            model=SingleCpModel(mu0=args.mu0, sigma=args.sigma, change_prior_f=args.f),
-            estimation_mode=_mode(args.mode),
-            variance_change=args.variance_change,
-            jacobi_iterations=args.jacobi_iterations,
-            window_cap=args.window_cap,
-        )
+        try:
+            config = CppConfig(
+                model=SingleCpModel(mu0=args.mu0, sigma=args.sigma, change_prior_f=args.f),
+                estimation_mode=_mode(args.mode),
+                variance_change=args.variance_change,
+                jacobi_iterations=args.jacobi_iterations,
+                window_cap=args.window_cap,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         state = CppState(config=config, rng=seed)
         for x in series.values:
             state.observe(x)

@@ -34,22 +34,27 @@ class GlrConfig:
 
 
 class GlrState:
-    """Running prefix sums; one observation appended per step."""
+    """Running prefix sums; one observation appended per step.
+
+    The raw observations are kept too, so a snapshot restores them, and the
+    prefix sums rebuilt from them, exactly.
+    """
 
     def __init__(self):
         self.prefix = PrefixStats()
+        self.series: list[float] = []
 
     @property
     def k(self) -> int:
         return len(self.prefix)
 
     def observe(self, x: float) -> None:
-        self.prefix.append(float(x))
+        x = float(x)
+        self.prefix.append(x)
+        self.series.append(x)
 
     def to_json(self) -> str:
-        sums, _ = self.prefix.arrays()
-        values = np.diff(sums)
-        return json.dumps({"series": values.tolist()})
+        return json.dumps({"series": self.series})
 
     @classmethod
     def from_json(cls, text: str) -> "GlrState":

@@ -16,13 +16,28 @@ where P(i | second-to-last at j) is the exactly-one-changepoint posterior on
 the suffix window after j, P(i | fewer than two) is the zero-or-one posterior
 on the full window, and P_k(i) is the p_last vector that was computed when
 only k points had been seen (memoized, looked up rather than recomputed).
-Each arriving point triggers a rebuild of the conditional tables followed by
+Each arriving point triggers an update of the conditional tables followed by
 a fixed number of Jacobi sweeps warm-started from the previous solution.
-
-Per-step cost is quadratic in the window size; the tables are built with
-vectorized prefix-sum arithmetic rather than per-window loops, and the
-per-window posteriors in :mod:`cpdetect.single_change` serve as the
+The per-window posteriors in :mod:`cpdetect.single_change` serve as the
 reference implementation the tables are tested against.
+
+Per-step cost at n points, by mode:
+
+* Known sigma, plug-in means: the tables factor.  With
+  a[j, i] = -css(j, i) / 2 sigma^2 for the pre-change segment (j, i] and
+  b[i] = -css(i, n) / 2 sigma^2 for the post-change one, row j of
+  P(i | second-to-last at j) is softmax_i(a[j, i] + b[i]).  The matrix
+  E = exp(a) is fixed once column i exists, so it is cached and grows by
+  one O(n) column per step; only exp(b) is new.  The row normalisers
+  Z = E exp(b) and the p_last update ((p_second / Z)^T E) * exp(b) are two
+  n x n matrix-vector products, plus a third for the memo lookup.  A row
+  whose Z underflows is recomputed in log space at O(n).
+* Estimated sigma, posterior sampling, or per-segment variances: the dense
+  tables are rebuilt every step, O(n^2) time spread over about fifteen
+  temporary (n + 1) x (n + 1) arrays.
+
+``window_cap`` freezes hypotheses older than the cap; it does not reduce
+either cost.
 """
 
 from __future__ import annotations
@@ -66,6 +81,16 @@ class CppConfig:
             raise ValueError("jacobi_iterations must be >= 1")
         if self.window_cap is not None and self.window_cap < 4:
             raise ValueError("window_cap must be >= 4")
+        if self.variance_change and (self.model.mu0 is not None or self.model.sigma is not None):
+            raise ValueError(
+                "variance_change estimates every segment's mean and variance; "
+                "it cannot use a known mu0 or sigma"
+            )
+
+
+def _factored(config: CppConfig) -> bool:
+    """Whether the config's tables factor (known sigma, plug-in means)."""
+    return config.model.sigma is not None and config.estimation_mode is EstimationMode.PLUG_IN
 
 
 @dataclass
@@ -85,6 +110,102 @@ class ConditionalTables:
     none_given_hzero: float
     last_given_second: np.ndarray
     memo: np.ndarray
+
+    def last_from_second(self, p_second: np.ndarray) -> np.ndarray:
+        """sum_j p_second[j] * last_given_second[j]."""
+        return self.last_given_second.T @ p_second
+
+    def second_row(self, j: int) -> np.ndarray:
+        """Row j of last_given_second."""
+        return self.last_given_second[j]
+
+
+#: A factored row whose normaliser Z_j falls below this is recomputed in log
+#: space.  Above it, every term carrying more than 1e-16 of Z_j is at least
+#: 1e-296, so both of its factors in (0, 1] are normal doubles.
+_MIN_ROW_NORM = 1e-280
+
+
+@dataclass
+class FactoredTables:
+    """The tables of a known-sigma, plug-in config, in factored form.
+
+    Row j of ``last_given_second`` is ``pre[j] * post * row_scale[j]``:
+    ``pre`` is the cached exp(-css(j, i) / 2 sigma^2), ``post`` holds
+    exp(b - max b) on the columns in use, and ``row_scale`` holds 1 / Z_j on
+    the rows in use.  Rows listed in ``exact`` underflowed; they have
+    ``row_scale`` 0 and are stored whole in ``exact_rows``.
+    """
+
+    n: int
+    lo: int
+    last_given_hzero: np.ndarray
+    none_given_hzero: float
+    pre: np.ndarray
+    post: np.ndarray
+    row_scale: np.ndarray
+    exact: np.ndarray
+    exact_rows: np.ndarray
+    memo: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+
+    @property
+    def last_given_second(self) -> np.ndarray:
+        """The dense (n+1, n+1) table, built on demand."""
+        dense = self.pre * self.post * self.row_scale[:, None]
+        dense[self.exact] = self.exact_rows
+        return dense
+
+    def last_from_second(self, p_second: np.ndarray) -> np.ndarray:
+        """sum_j p_second[j] * last_given_second[j], as one matvec."""
+        out = ((p_second * self.row_scale) @ self.pre) * self.post
+        if self.exact.size:
+            out += p_second[self.exact] @ self.exact_rows
+        return out
+
+    def second_row(self, j: int) -> np.ndarray:
+        """Row j of last_given_second, built alone."""
+        hit = np.flatnonzero(self.exact == j)
+        if hit.size:
+            return self.exact_rows[hit[0]]
+        return self.pre[j] * self.post * self.row_scale[j]
+
+
+def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``buf`` if it has ``need`` rows and columns; else a square buffer at
+    least twice as large holding a copy of its leading used x used block."""
+    if buf.shape[0] >= need:
+        return buf
+    cap = max(2 * buf.shape[0], need)
+    grown = np.zeros((cap, cap))
+    grown[:used, :used] = buf[:used, :used]
+    return grown
+
+
+class ExpCssCache:
+    """E[j, i] = exp(-css(j, i) / 2 sigma^2) for 0 <= j < i, zero elsewhere.
+
+    css(j, i) is the centered sum of squares of the segment (j, i].  Column
+    i depends only on the points up to i, so the cache grows by one O(n)
+    column per observation.  Every entry lies in [0, 1], and E[j, j + 1] is
+    1 up to rounding, so no row needs an offset against underflow.
+    """
+
+    def __init__(self, sigma: float):
+        self._two_sigma2 = 2.0 * (sigma * sigma)
+        self._buf = np.zeros((8, 8))
+        self._n = 0
+
+    def extend(self, S: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """Add the columns up to the last prefix sum; return E as (n+1, n+1)."""
+        n = len(S) - 1
+        self._buf = _grown(self._buf, self._n + 1, n + 1)
+        for i in range(self._n + 1, n + 1):
+            m = np.arange(i, 0, -1, dtype=float)  # i - j for j = 0 .. i-1
+            s = S[i] - S[:i]
+            css = np.maximum((Q[i] - Q[:i]) - s * s / m, 0.0)
+            self._buf[:i, i] = np.exp(-css / self._two_sigma2)
+        self._n = n
+        return self._buf[: n + 1, : n + 1]
 
 
 def _rowwise_softmax(logw: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -113,14 +234,21 @@ def build_conditional_tables(
     rng: np.random.Generator,
     floor: float,
     lo: int = 0,
-) -> ConditionalTables:
+    cache: ExpCssCache | None = None,
+) -> ConditionalTables | FactoredTables:
     """Conditional changepoint posteriors for every suffix window at once.
 
     ``lo`` restricts attention to positions > lo (used by window capping);
-    with lo = 0 the full series is covered.
+    with lo = 0 the full series is covered.  A known-sigma, plug-in config
+    gets :class:`FactoredTables`, extending ``cache`` (a fresh one if None)
+    to the prefix.
     """
     n = len(prefix)
     S, Q = prefix.arrays()
+    if _factored(config):
+        if cache is None:
+            cache = ExpCssCache(config.model.sigma)
+        return _factored_tables(n, lo, S, Q, config, rng, floor, cache)
     model = config.model
     sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
 
@@ -187,6 +315,53 @@ def build_conditional_tables(
         last_given_second=last_given_second,
         memo=np.zeros((0, 0)),  # filled in by the caller that owns the history
     )
+
+
+def _factored_tables(n, lo, S, Q, config: CppConfig, rng, floor, cache: ExpCssCache):
+    two_sigma2 = 2.0 * (config.model.sigma * config.model.sigma)
+    pre = cache.extend(S, Q)
+    pos = np.arange(n + 1)
+    s_post = S[n] - S
+    css_post = np.maximum((Q[n] - Q) - s_post * s_post / np.maximum(n - pos, 1.0), 0.0)
+
+    # rows j in [first, n-2] use the columns (j, n-1]
+    first = max(lo, 1)
+    rows = np.arange(first, n - 1)
+    post = np.zeros(n + 1)
+    row_scale = np.zeros(n + 1)
+    exact = rows
+    if rows.size:
+        b = -css_post[first + 1 : n] / two_sigma2
+        post[first + 1 : n] = np.exp(b - b.max())
+        z = pre[first : n - 1] @ post
+        ok = z >= _MIN_ROW_NORM
+        row_scale[rows[ok]] = 1.0 / z[ok]
+        exact = rows[~ok]
+
+    c0, p_none = _hzero_posterior(n, lo, S, Q, config, rng, floor)
+    return FactoredTables(
+        n=n,
+        lo=lo,
+        last_given_hzero=c0,
+        none_given_hzero=p_none,
+        pre=pre,
+        post=post,
+        row_scale=row_scale,
+        exact=exact,
+        exact_rows=_log_space_rows(exact, n, S, Q, css_post, two_sigma2),
+    )
+
+
+def _log_space_rows(rows, n, S, Q, css_post, two_sigma2):
+    """Rows of last_given_second for known sigma, computed as a softmax of logs."""
+    if not rows.size:
+        return np.zeros((0, n + 1))
+    i = np.arange(n + 1)[None, :]
+    j = rows[:, None]
+    s = S[i] - S[j]
+    css = np.maximum((Q[i] - Q[j]) - s * s / np.maximum(i - j, 1.0), 0.0)
+    logw = -(css + css_post[None, :]) / two_sigma2
+    return _rowwise_softmax(logw, (i > j) & (i <= n - 1))
 
 
 def _loglik_two_variances(m_pre, css_pre, m_post, css_post, valid, sample, rng, floor):
@@ -301,7 +476,7 @@ def jacobi_step(
             f"match tables for n={tables.n}"
         )
     p_hzero = float(np.clip(1.0 - p_second.sum(), 0.0, 1.0))
-    new_last = tables.last_given_hzero * p_hzero + tables.last_given_second.T @ p_second
+    new_last = tables.last_given_hzero * p_hzero + tables.last_from_second(p_second)
     k = tables.memo.shape[0]
     new_second = np.zeros_like(p_second)
     if k > 0:
@@ -327,11 +502,7 @@ class PosteriorMatrix:
         k = len(row) - 1
         if k != self._n + 1:
             raise ValueError(f"expected row for step {self._n + 1}, got {k}")
-        if self._buf.shape[0] <= k:
-            cap = max(2 * self._buf.shape[0], k + 1)
-            grown = np.zeros((cap, cap))
-            grown[: self._n + 1, : self._n + 1] = self._buf[: self._n + 1, : self._n + 1]
-            self._buf = grown
+        self._buf = _grown(self._buf, self._n + 1, k + 1)
         self._buf[k, : k + 1] = row
         self._n = k
 
@@ -360,6 +531,9 @@ class CppState:
         self.p_last = np.zeros(1)
         self.p_second = np.zeros(1)
         self.p_hzero = 1.0
+        # not serialized: it is a function of the series, and the first
+        # observe after a restore refills it column by column
+        self._exp_css = ExpCssCache(self.config.model.sigma) if _factored(self.config) else None
 
     # -- core update ---------------------------------------------------
 
@@ -395,7 +569,7 @@ class CppState:
 
         lo = self._active_lo()
         tables = build_conditional_tables(
-            self.prefix, self.config, self.rng, self._floor(), lo=lo
+            self.prefix, self.config, self.rng, self._floor(), lo=lo, cache=self._exp_css
         )
         tables.memo = self.history.matrix(n - 1)
 
@@ -411,7 +585,7 @@ class CppState:
                 # frozen hypotheses keep their mass; the aggregated old
                 # second-changepoint mass feeds p_last via the oldest
                 # computable conditional row
-                pl += tables.last_given_second[lo] * bucket
+                pl += tables.second_row(lo) * bucket
                 pl[: lo + 1] = frozen_last
                 ps[: lo + 1] = frozen_second
                 ph = float(np.clip(1.0 - ps.sum(), 0.0, 1.0))

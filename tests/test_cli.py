@@ -108,6 +108,24 @@ class TestDetectCommand:
         assert len(report["g_trace"]) == 10
         assert report["g_final"] > 5
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--variance-change", "--mu0", "0"], "variance_change"),
+            (["--variance-change", "--sigma", "1"], "variance_change"),
+            (["--window-cap", "2"], "window_cap"),
+            (["--jacobi-iterations", "0"], "jacobi_iterations"),
+        ],
+        ids=["variance-change-mu0", "variance-change-sigma", "window-cap", "jacobi"],
+    )
+    def test_config_the_kernel_rejects_is_usage_error(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "s.csv"
+        path.write_text("value\n1.0\n2.0\n3.0\n")
+        rc = main(["detect", str(path), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_constant_file_has_low_change_mass(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("value\n" + "\n".join(["1.0"] * 60) + "\n")

@@ -117,6 +117,15 @@ class TestGlrState:
         assert clone.k == state.k
         assert glr_decision(clone, cfg) == pytest.approx(glr_decision(state, cfg), abs=1e-12)
 
+    def test_round_trip_is_lossless_at_large_offset(self):
+        xs = 1e8 + np.random.default_rng(5).standard_normal(200)
+        xs[120:] += 0.7
+        state = feed(xs)
+        clone = GlrState.from_json(state.to_json())
+        assert clone.series == xs.tolist()
+        cfg = GlrConfig(mu0=1e8, sigma=1.0)
+        assert glr_decision(clone, cfg) == glr_decision(state, cfg)
+
     def test_rejects_non_finite(self):
         state = GlrState()
         with pytest.raises(ValueError):

@@ -8,11 +8,13 @@ checked against hand-computed substitutions on small hand-set tables.
 import numpy as np
 import pytest
 
+from cpdetect import kernel
 from cpdetect.gaussian_stats import EstimationMode
 from cpdetect.kernel import (
     ConditionalTables,
     CppConfig,
     CppState,
+    FactoredTables,
     PosteriorMatrix,
     build_conditional_tables,
     jacobi_step,
@@ -315,3 +317,142 @@ class TestSerialization:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CppConfig(model=KNOWN, jacobi_iterations=0)
+
+
+class TestConfigRejection:
+    @pytest.mark.parametrize(
+        "model", [SingleCpModel(mu0=0.0), SingleCpModel(sigma=1.0), KNOWN],
+        ids=["mu0", "sigma", "both"],
+    )
+    def test_variance_change_rejects_known_parameters(self, model):
+        with pytest.raises(ValueError, match="variance_change"):
+            CppConfig(model=model, variance_change=True)
+
+
+def run_dense(xs, monkeypatch, **kwargs):
+    """run_series with every config sent through the dense table build."""
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "_factored", lambda config: False)
+        return run_series(xs, **kwargs)
+
+
+def assert_states_close(a, b, atol):
+    assert np.isfinite(a.p_last).all() and np.isfinite(a.p_second).all()
+    np.testing.assert_allclose(a.p_last, b.p_last, rtol=0, atol=atol)
+    np.testing.assert_allclose(a.p_second, b.p_second, rtol=0, atol=atol)
+    assert a.p_hzero == pytest.approx(b.p_hzero, rel=0, abs=atol)
+
+
+def reference_row(xs, j, sigma):
+    """Row j of last_given_second from the raw points of the window (j, n].
+
+    The sums run over the window's deviations from its own mean, forwards
+    for the pre-change segments and backwards for the post-change ones, so
+    the reference shares no prefix sums with the kernel.
+    """
+    d = np.asarray(xs[j:], dtype=float)
+    d = d - d.mean()
+
+    def css(seg):  # css of seg[:k] for k = 1 .. len(seg) - 1
+        k = np.arange(1, len(seg))
+        s = np.cumsum(seg)[:-1]
+        return np.maximum(np.cumsum(seg * seg)[:-1] - s * s / k, 0.0)
+
+    logw = -(css(d) + css(d[::-1])[::-1]) / (2 * sigma * sigma)
+    p = np.exp(logw - logw.max())
+    row = np.zeros(len(xs) + 1)
+    row[j + 1 : len(xs)] = p / p.sum()
+    return row
+
+
+class TestFactoredTables:
+    def test_config_selects_the_path(self):
+        prefix = PrefixStats(np.random.default_rng(0).standard_normal(12))
+
+        def tables(**cfg):
+            return build_conditional_tables(prefix, CppConfig(**cfg), np.random.default_rng(0), 1e-8)
+
+        assert isinstance(tables(model=KNOWN), FactoredTables)
+        assert isinstance(tables(model=SingleCpModel(sigma=1.0)), FactoredTables)
+        assert isinstance(tables(model=SingleCpModel(mu0=0.0)), ConditionalTables)
+        assert isinstance(
+            tables(model=KNOWN, estimation_mode=EstimationMode.POSTERIOR_SAMPLE),
+            ConditionalTables,
+        )
+        assert isinstance(tables(variance_change=True), ConditionalTables)
+
+    def test_matches_dense_on_criterion_3_seeds(self, monkeypatch):
+        model = SingleCpModel(mu0=-0.5, sigma=1.0, change_prior_f=0.02)
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            xs = np.concatenate(
+                [rng.standard_normal(50) - 0.5, rng.standard_normal(50) + 0.5,
+                 rng.standard_normal(50)]
+            )
+            factored = run_series(xs, model=model, seed=seed)
+            dense = run_dense(xs, monkeypatch, model=model, seed=seed)
+            assert_states_close(factored, dense, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["sigma-0.1", "step-50-sigma", "pulse-50-sigma"])
+    def test_matches_dense_where_rows_underflow(self, monkeypatch, case):
+        rng = np.random.default_rng(11)
+        xs = rng.standard_normal(90)
+        model = KNOWN
+        if case == "sigma-0.1":
+            model = SingleCpModel(mu0=0.0, sigma=0.1)
+        elif case == "step-50-sigma":
+            xs[45:] += 50.0
+        else:
+            xs[30:60] += 50.0
+        factored = run_series(xs, model=model)
+        dense = run_dense(xs, monkeypatch, model=model)
+        assert_states_close(factored, dense, atol=1e-9)
+        if case != "step-50-sigma":
+            tables = build_conditional_tables(
+                factored.prefix, factored.config, factored.rng, factored._floor()
+            )
+            assert tables.exact.size > 0  # the log-space rows were exercised
+
+    def test_long_series_rows_and_update_match_reference(self):
+        # On 2,500 N(0, 1) points with sigma = 1 the normaliser of every row
+        # whose window exceeds about 1,300 points underflows.
+        n = 2500
+        xs = np.random.default_rng(12).standard_normal(n)
+        tables = build_conditional_tables(
+            PrefixStats(xs), CppConfig(model=KNOWN), np.random.default_rng(0), 1e-8
+        )
+        assert 0.3 * n < tables.exact.size < 0.7 * n
+        p_second = np.random.default_rng(13).dirichlet(np.ones(n + 1)) * 0.5
+        p_second[[0, n - 1, n]] = 0.0
+        expected = np.zeros(n + 1)
+        for j in range(1, n - 1):
+            ref = reference_row(xs, j, 1.0)
+            got = tables.second_row(j)
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+            expected += p_second[j] * ref
+        new_last, _, _ = jacobi_step(np.zeros(n + 1), p_second, tables)
+        p_hzero = 1.0 - p_second.sum()
+        np.testing.assert_allclose(
+            new_last, np.clip(tables.last_given_hzero * p_hzero + expected, 0, 1),
+            rtol=0, atol=1e-9,
+        )
+
+    def test_snapshot_resume_is_bit_identical(self):
+        xs = np.random.default_rng(14).standard_normal(60)
+        xs[25:] += 1.5
+        full = run_series(xs)
+        resumed = CppState.from_json(run_series(xs[:30]).to_json())
+        for x in xs[30:]:
+            resumed.observe(x)
+        np.testing.assert_array_equal(resumed.p_last, full.p_last)
+        np.testing.assert_array_equal(resumed.p_second, full.p_second)
+        assert resumed.p_hzero == full.p_hzero
+        np.testing.assert_array_equal(resumed.history.matrix(60), full.history.matrix(60))
+
+    def test_capped_run_matches_dense(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        xs = np.concatenate([rng.standard_normal(40), rng.standard_normal(30) + 2.0])
+        factored = run_series(xs, window_cap=25)
+        dense = run_dense(xs, monkeypatch, window_cap=25)
+        assert_states_close(factored, dense, atol=1e-12)
