@@ -110,38 +110,50 @@ class PrefixStats:
 
     Stores cumulative count/sum/sumsq, so the total space is linear in the
     number of observations even though every contiguous segment is queryable.
+    The sums live in float64 buffers that double when full.
     """
 
     def __init__(self, data=None):
-        self._sum = [0.0]
-        self._sumsq = [0.0]
+        self._sum = np.zeros(16)
+        self._sumsq = np.zeros(16)
+        self._n = 0
         if data is not None:
             for x in np.asarray(data, dtype=float):
                 self.append(float(x))
 
     def __len__(self) -> int:
-        return len(self._sum) - 1
+        return self._n
 
     def append(self, x: float) -> None:
         if not math.isfinite(x):
             raise ValueError("observation must be finite")
-        self._sum.append(self._sum[-1] + x)
-        self._sumsq.append(self._sumsq[-1] + x * x)
+        n = self._n
+        if n + 1 == len(self._sum):
+            self._sum = np.concatenate([self._sum, np.zeros(n + 1)])
+            self._sumsq = np.concatenate([self._sumsq, np.zeros(n + 1)])
+        self._sum[n + 1] = self._sum[n] + x
+        self._sumsq[n + 1] = self._sumsq[n] + x * x
+        self._n = n + 1
 
     def segment(self, a: int, b: int) -> GaussianSegmentStats:
         """Stats of observations a+1 .. b (1-based positions, half-open (a, b])."""
         if not (0 <= a <= b <= len(self)):
             raise IndexError(f"segment ({a}, {b}] out of range 0..{len(self)}")
         return GaussianSegmentStats(
-            n=b - a, sum=self._sum[b] - self._sum[a], sumsq=self._sumsq[b] - self._sumsq[a]
+            n=b - a,
+            sum=float(self._sum[b] - self._sum[a]),
+            sumsq=float(self._sumsq[b] - self._sumsq[a]),
         )
 
     def total(self) -> GaussianSegmentStats:
         return self.segment(0, len(self))
 
     def arrays(self):
-        """Prefix sum / sumsq as numpy arrays of length n+1 (index 0 is zero)."""
-        return np.asarray(self._sum), np.asarray(self._sumsq)
+        """Prefix sum / sumsq as read-only views of length n+1 (index 0 is zero)."""
+        views = self._sum[: self._n + 1], self._sumsq[: self._n + 1]
+        for v in views:
+            v.flags.writeable = False
+        return views
 
 
 def variance_floor(global_variance: float | None, scale: float = DEFAULT_FLOOR_SCALE) -> float:

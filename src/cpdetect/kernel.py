@@ -32,12 +32,20 @@ Per-step cost at n points, by mode:
   Z = E exp(b) and the p_last update ((p_second / Z)^T E) * exp(b) are two
   n x n matrix-vector products, plus a third for the memo lookup.  A row
   whose Z underflows is recomputed in log space at O(n).
-* Estimated sigma, posterior sampling, or per-segment variances: the dense
-  tables are rebuilt every step, O(n^2) time spread over about fifteen
-  temporary (n + 1) x (n + 1) arrays.
+* Estimated sigma, plug-in means: the window (j, n] of row j has n - j
+  points whatever the split i, so with T = css(j, i) + css(i, n) and an
+  unbinding variance floor, row j is proportional to
+  (T / min_i T) ** (-(n - j) / 2).  css(j, i) is cached like E above, and
+  each step makes one fused pass over the upper triangle, a block of rows
+  at a time: O(n^2 / 2) time with one (n + 1) x (n + 1) array of weights.
+  Rows where the floor binds take the full log-likelihood.  The p_last
+  update is then one n x n matrix-vector product, plus the memo lookup.
+* Posterior sampling, or per-segment variances: the dense tables are
+  rebuilt every step, O(n^2) time spread over about fifteen temporary
+  (n + 1) x (n + 1) arrays.
 
 ``window_cap`` freezes hypotheses older than the cap; it does not reduce
-either cost.
+any of these costs.
 """
 
 from __future__ import annotations
@@ -66,7 +74,8 @@ class CppConfig:
     f); ``estimation_mode`` selects plug-in estimates versus posterior draws
     for unknown parameters; ``variance_change`` switches the split likelihood
     to per-segment variances; ``window_cap``, when set, freezes hypotheses
-    older than the cap so per-step cost stays bounded.
+    older than the cap.  The cap does not bound per-step time or memory,
+    which still grow with the series.
     """
 
     model: SingleCpModel = field(default_factory=SingleCpModel)
@@ -88,9 +97,12 @@ class CppConfig:
             )
 
 
-def _factored(config: CppConfig) -> bool:
-    """Whether the config's tables factor (known sigma, plug-in means)."""
-    return config.model.sigma is not None and config.estimation_mode is EstimationMode.PLUG_IN
+def _table_path(config: CppConfig) -> str:
+    """How the config's tables are built: "factored" (known sigma, plug-in
+    means), "fused" (estimated sigma, plug-in means) or "dense"."""
+    if config.estimation_mode is not EstimationMode.PLUG_IN or config.variance_change:
+        return "dense"
+    return "factored" if config.model.sigma is not None else "fused"
 
 
 @dataclass
@@ -170,42 +182,112 @@ class FactoredTables:
         return self.pre[j] * self.post * self.row_scale[j]
 
 
-def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
+@dataclass
+class FusedTables:
+    """The tables of an estimated-sigma, plug-in config, from one fused pass.
+
+    Row j of ``last_given_second`` is ``weights[j] * row_scale[j]``: the
+    unnormalised weights of the rows in use, and 1 / Z_j on those rows.
+    Rows where the variance floor binds are stored normalised, with
+    ``row_scale`` 1.
+    """
+
+    n: int
+    lo: int
+    last_given_hzero: np.ndarray
+    none_given_hzero: float
+    weights: np.ndarray
+    row_scale: np.ndarray
+    memo: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+
+    @property
+    def last_given_second(self) -> np.ndarray:
+        """The dense (n+1, n+1) table, built on demand."""
+        return self.weights * self.row_scale[:, None]
+
+    def last_from_second(self, p_second: np.ndarray) -> np.ndarray:
+        """sum_j p_second[j] * last_given_second[j], as one matvec."""
+        return (p_second * self.row_scale) @ self.weights
+
+    def second_row(self, j: int) -> np.ndarray:
+        """Row j of last_given_second, built alone."""
+        return self.weights[j] * self.row_scale[j]
+
+
+def _grown(buf: np.ndarray, used: int, need: int, fill: float = 0.0) -> np.ndarray:
     """``buf`` if it has ``need`` rows and columns; else a square buffer at
-    least twice as large holding a copy of its leading used x used block."""
+    least twice as large, set to ``fill`` but for a copy of the leading
+    used x used block of ``buf``."""
     if buf.shape[0] >= need:
         return buf
     cap = max(2 * buf.shape[0], need)
-    grown = np.zeros((cap, cap))
+    # np.zeros maps pages lazily, so the part of a triangular buffer that is
+    # never written costs neither time nor memory
+    grown = np.zeros((cap, cap)) if fill == 0.0 else np.full((cap, cap), fill)
     grown[:used, :used] = buf[:used, :used]
     return grown
 
 
-class ExpCssCache:
-    """E[j, i] = exp(-css(j, i) / 2 sigma^2) for 0 <= j < i, zero elsewhere.
+def _css_column(S: np.ndarray, Q: np.ndarray, i: int) -> np.ndarray:
+    """css(j, i) for j = 0 .. i-1: the centered sums of squares of (j, i]."""
+    m = np.arange(i, 0, -1, dtype=float)  # i - j
+    s = S[i] - S[:i]
+    return np.maximum((Q[i] - Q[:i]) - s * s / m, 0.0)
+
+
+class CssCache:
+    """C[j, i] = css(j, i) for 0 <= j < i, +inf elsewhere.
 
     css(j, i) is the centered sum of squares of the segment (j, i].  Column
     i depends only on the points up to i, so the cache grows by one O(n)
-    column per observation.  Every entry lies in [0, 1], and E[j, j + 1] is
-    1 up to rounding, so no row needs an offset against underflow.
+    column per observation.  The +inf below the diagonal masks it for
+    free: every entry there maps to a weight of 0.
     """
 
-    def __init__(self, sigma: float):
-        self._two_sigma2 = 2.0 * (sigma * sigma)
-        self._buf = np.zeros((8, 8))
+    fill = np.inf
+
+    def __init__(self):
+        self._buf = np.full((8, 8), self.fill)
         self._n = 0
 
+    def _entries(self, css: np.ndarray) -> np.ndarray:
+        return css
+
     def extend(self, S: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Add the columns up to the last prefix sum; return E as (n+1, n+1)."""
+        """Add the columns up to the last prefix sum; return the (n+1, n+1) cache."""
         n = len(S) - 1
-        self._buf = _grown(self._buf, self._n + 1, n + 1)
+        self._buf = _grown(self._buf, self._n + 1, n + 1, self.fill)
         for i in range(self._n + 1, n + 1):
-            m = np.arange(i, 0, -1, dtype=float)  # i - j for j = 0 .. i-1
-            s = S[i] - S[:i]
-            css = np.maximum((Q[i] - Q[:i]) - s * s / m, 0.0)
-            self._buf[:i, i] = np.exp(-css / self._two_sigma2)
+            self._buf[:i, i] = self._entries(_css_column(S, Q, i))
         self._n = n
         return self._buf[: n + 1, : n + 1]
+
+
+class ExpCssCache(CssCache):
+    """E[j, i] = exp(-css(j, i) / 2 sigma^2) for 0 <= j < i, zero elsewhere.
+
+    Every entry lies in [0, 1], and E[j, j + 1] is 1 up to rounding, so no
+    row needs an offset against underflow.
+    """
+
+    fill = 0.0
+
+    def __init__(self, sigma: float):
+        super().__init__()
+        self._two_sigma2 = 2.0 * (sigma * sigma)
+
+    def _entries(self, css: np.ndarray) -> np.ndarray:
+        return np.exp(-css / self._two_sigma2)
+
+
+def _new_cache(config: CppConfig) -> CssCache | None:
+    """The column cache the config's table path extends, if any."""
+    path = _table_path(config)
+    if path == "factored":
+        return ExpCssCache(config.model.sigma)
+    if path == "fused":
+        return CssCache()
+    return None
 
 
 def _rowwise_softmax(logw: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -234,21 +316,24 @@ def build_conditional_tables(
     rng: np.random.Generator,
     floor: float,
     lo: int = 0,
-    cache: ExpCssCache | None = None,
-) -> ConditionalTables | FactoredTables:
+    cache: CssCache | None = None,
+) -> ConditionalTables | FactoredTables | FusedTables:
     """Conditional changepoint posteriors for every suffix window at once.
 
     ``lo`` restricts attention to positions > lo (used by window capping);
-    with lo = 0 the full series is covered.  A known-sigma, plug-in config
-    gets :class:`FactoredTables`, extending ``cache`` (a fresh one if None)
-    to the prefix.
+    with lo = 0 the full series is covered.  A plug-in config without
+    per-segment variances gets :class:`FactoredTables` (known sigma) or
+    :class:`FusedTables` (estimated sigma), extending ``cache`` (a fresh
+    one if None) to the prefix.
     """
     n = len(prefix)
     S, Q = prefix.arrays()
-    if _factored(config):
+    path = _table_path(config)
+    if path != "dense":
         if cache is None:
-            cache = ExpCssCache(config.model.sigma)
-        return _factored_tables(n, lo, S, Q, config, rng, floor, cache)
+            cache = _new_cache(config)
+        build = _factored_tables if path == "factored" else _fused_tables
+        return build(n, lo, S, Q, config, rng, floor, cache)
     model = config.model
     sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
 
@@ -362,6 +447,67 @@ def _log_space_rows(rows, n, S, Q, css_post, two_sigma2):
     css = np.maximum((Q[i] - Q[j]) - s * s / np.maximum(i - j, 1.0), 0.0)
     logw = -(css + css_post[None, :]) / two_sigma2
     return _rowwise_softmax(logw, (i > j) & (i <= n - 1))
+
+
+#: Rows per block of the fused pass.  A block spans the columns right of its
+#: first row, so it computes about block^2 / 2 entries of the empty lower
+#: triangle; a taller block makes fewer numpy calls per step.
+_FUSED_BLOCK_ROWS = 64
+
+
+def _fused_tables(n, lo, S, Q, config: CppConfig, rng, floor, cache: CssCache):
+    css_pre = cache.extend(S, Q)
+    pos = np.arange(n + 1)
+    s_post = S[n] - S
+    css_post = np.maximum((Q[n] - Q) - s_post * s_post / np.maximum(n - pos, 1.0), 0.0)
+
+    # rows j in [max(lo, 1), n-2] use the columns (j, n-1].  Row j's window (j, n]
+    # has n - j points whatever the split, so with T = css_pre + css_post
+    # and s^2 = T / dof above the floor, its log-likelihood is
+    # -(n - j) / 2 * log T plus a constant of the row.
+    weights = np.zeros((n + 1, n + 1))
+    row_scale = np.zeros(n + 1)
+    for r0 in range(max(lo, 1), n - 1, _FUSED_BLOCK_ROWS):
+        r1 = min(r0 + _FUSED_BLOCK_ROWS, n - 1)
+        m = (n - pos[r0:r1]).astype(float)
+        dof = np.maximum(m - 2.0, 1.0)
+        w = weights[r0:r1, r0 + 1 : n]
+        np.add(css_pre[r0:r1, r0 + 1 : n], css_post[r0 + 1 : n], out=w)  # T, inf where i <= j
+        t_min = w.min(axis=1)
+        floored = t_min / dof < floor  # always true of row n-2, whose T is 0
+        exact_rows = None
+        if floored.any():
+            exact_rows = _floored_rows(w[floored], m[floored], dof[floored], floor)
+            w[floored] = 1.0
+            t_min[floored] = 1.0
+        np.divide(w, t_min[:, None], out=w)
+        np.log(w, out=w)
+        w *= -0.5 * m[:, None]
+        np.exp(w, out=w)
+        row_scale[r0:r1] = 1.0 / w.sum(axis=1)
+        if exact_rows is not None:
+            w[floored] = exact_rows
+            row_scale[r0:r1][floored] = 1.0
+
+    c0, p_none = _hzero_posterior(n, lo, S, Q, config, rng, floor)
+    return FusedTables(
+        n=n,
+        lo=lo,
+        last_given_hzero=c0,
+        none_given_hzero=p_none,
+        weights=weights,
+        row_scale=row_scale,
+    )
+
+
+def _floored_rows(t, m, dof, floor):
+    """Rows of last_given_second for estimated sigma where the variance floor
+    binds, from T = css_pre + css_post (inf where i <= j)."""
+    valid = np.isfinite(t)
+    t = np.where(valid, t, 0.0)
+    s2 = np.maximum(t / dof[:, None], floor)
+    logw = -0.5 * m[:, None] * (LOG_2PI + np.log(s2)) - t / (2.0 * s2)
+    return _rowwise_softmax(logw, valid)
 
 
 def _loglik_two_variances(m_pre, css_pre, m_post, css_post, valid, sample, rng, floor):
@@ -533,7 +679,7 @@ class CppState:
         self.p_hzero = 1.0
         # not serialized: it is a function of the series, and the first
         # observe after a restore refills it column by column
-        self._exp_css = ExpCssCache(self.config.model.sigma) if _factored(self.config) else None
+        self._cache = _new_cache(self.config)
 
     # -- core update ---------------------------------------------------
 
@@ -569,7 +715,7 @@ class CppState:
 
         lo = self._active_lo()
         tables = build_conditional_tables(
-            self.prefix, self.config, self.rng, self._floor(), lo=lo, cache=self._exp_css
+            self.prefix, self.config, self.rng, self._floor(), lo=lo, cache=self._cache
         )
         tables.memo = self.history.matrix(n - 1)
 
@@ -656,7 +802,6 @@ class CppState:
         state.prefix = PrefixStats(state.series)
         for k, row in enumerate(doc["posterior_rows"], start=1):
             state.history.append(np.concatenate([[0.0], row]))
-        n = len(state.series)
         state.p_last = np.concatenate([[0.0], doc["p_last"]])
         state.p_second = np.concatenate([[0.0], doc["p_second"]])
         state.p_hzero = float(doc["p_hzero"])

@@ -162,6 +162,23 @@ class TestPrefixStats:
             prefix.append(math.inf)
         assert len(prefix) == 0
 
+    def test_arrays_are_read_only_views_kept_across_growth(self):
+        data = np.random.default_rng(8).standard_normal(70)
+        prefix = PrefixStats(data[:20])
+        S20, _ = prefix.arrays()
+        for x in data[20:]:
+            prefix.append(float(x))
+        S, Q = prefix.arrays()
+        ref_s, ref_q = [0.0], [0.0]
+        for x in data.tolist():
+            ref_s.append(ref_s[-1] + x)
+            ref_q.append(ref_q[-1] + x * x)
+        np.testing.assert_array_equal(S, ref_s)
+        np.testing.assert_array_equal(Q, ref_q)
+        np.testing.assert_array_equal(S20, ref_s[:21])
+        assert not S.flags.writeable and not Q.flags.writeable
+        assert isinstance(prefix.segment(3, 50).sum, float)
+
 
 class TestPosteriorSigma2Params:
     def test_two_identical_points(self):

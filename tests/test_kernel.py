@@ -15,6 +15,7 @@ from cpdetect.kernel import (
     CppConfig,
     CppState,
     FactoredTables,
+    FusedTables,
     PosteriorMatrix,
     build_conditional_tables,
     jacobi_step,
@@ -332,7 +333,7 @@ class TestConfigRejection:
 def run_dense(xs, monkeypatch, **kwargs):
     """run_series with every config sent through the dense table build."""
     with monkeypatch.context() as m:
-        m.setattr(kernel, "_factored", lambda config: False)
+        m.setattr(kernel, "_table_path", lambda config: "dense")
         return run_series(xs, **kwargs)
 
 
@@ -374,7 +375,7 @@ class TestFactoredTables:
 
         assert isinstance(tables(model=KNOWN), FactoredTables)
         assert isinstance(tables(model=SingleCpModel(sigma=1.0)), FactoredTables)
-        assert isinstance(tables(model=SingleCpModel(mu0=0.0)), ConditionalTables)
+        assert isinstance(tables(model=SingleCpModel(mu0=0.0)), FusedTables)
         assert isinstance(
             tables(model=KNOWN, estimation_mode=EstimationMode.POSTERIOR_SAMPLE),
             ConditionalTables,
@@ -456,3 +457,83 @@ class TestFactoredTables:
         factored = run_series(xs, window_cap=25)
         dense = run_dense(xs, monkeypatch, window_cap=25)
         assert_states_close(factored, dense, atol=1e-12)
+
+
+ESTIMATED = SingleCpModel(change_prior_f=0.02)
+
+
+def floored_rows(xs, floor):
+    """Rows j whose variance floor binds at the last step, from raw segments:
+    min over splits i of (css(j, i) + css(i, n)) / max(n - j - 2, 1) < floor."""
+    xs = np.asarray(xs, dtype=float)
+    n = len(xs)
+
+    def css(seg):
+        return float(((seg - seg.mean()) ** 2).sum())
+
+    rows = []
+    for j in range(1, n - 1):
+        t = min(css(xs[j:i]) + css(xs[i:]) for i in range(j + 1, n))
+        if t / max(n - j - 2, 1) < floor:
+            rows.append(j)
+    return rows
+
+
+class TestFusedTables:
+    def test_estimated_sigma_plug_in_takes_the_fused_path(self):
+        prefix = PrefixStats(np.random.default_rng(0).standard_normal(12))
+        for model in (SingleCpModel(), SingleCpModel(mu0=0.0), ESTIMATED):
+            tables = build_conditional_tables(
+                prefix, CppConfig(model=model), np.random.default_rng(0), 1e-8
+            )
+            assert isinstance(tables, FusedTables)
+
+    def test_matches_dense_on_criterion_3_seeds(self, monkeypatch):
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            xs = np.concatenate(
+                [rng.standard_normal(50) - 0.5, rng.standard_normal(50) + 0.5,
+                 rng.standard_normal(50)]
+            )
+            fused = run_series(xs, model=ESTIMATED, seed=seed)
+            dense = run_dense(xs, monkeypatch, model=ESTIMATED, seed=seed)
+            assert_states_close(fused, dense, atol=1e-12)
+
+    def test_matches_dense_where_the_floor_binds(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        xs = np.round(rng.standard_normal(90), 1)
+        xs[30:45] = 0.3
+        xs[45:] += 2.0
+        xs[-12:] = xs[-13]
+        fused = run_series(xs, model=ESTIMATED)
+        dense = run_dense(xs, monkeypatch, model=ESTIMATED)
+        assert_states_close(fused, dense, atol=1e-9)
+        assert len(floored_rows(xs, fused._floor())) >= 10
+
+    def test_matches_dense_on_shifted_and_scaled_data(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        xs = rng.standard_normal(100)
+        xs[60:] += 1.5
+        xs = 1e4 + 1e-3 * xs
+        fused = run_series(xs, model=ESTIMATED)
+        dense = run_dense(xs, monkeypatch, model=ESTIMATED)
+        assert_states_close(fused, dense, atol=1e-9)
+
+    def test_snapshot_resume_is_bit_identical(self):
+        xs = np.random.default_rng(18).standard_normal(60)
+        xs[25:] += 1.5
+        full = run_series(xs, model=ESTIMATED)
+        resumed = CppState.from_json(run_series(xs[:30], model=ESTIMATED).to_json())
+        for x in xs[30:]:
+            resumed.observe(x)
+        np.testing.assert_array_equal(resumed.p_last, full.p_last)
+        np.testing.assert_array_equal(resumed.p_second, full.p_second)
+        assert resumed.p_hzero == full.p_hzero
+        np.testing.assert_array_equal(resumed.history.matrix(60), full.history.matrix(60))
+
+    def test_capped_run_matches_dense(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        xs = np.concatenate([rng.standard_normal(40), rng.standard_normal(30) + 2.0])
+        fused = run_series(xs, model=ESTIMATED, window_cap=25)
+        dense = run_dense(xs, monkeypatch, model=ESTIMATED, window_cap=25)
+        assert_states_close(fused, dense, atol=1e-12)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cpdetect.gaussian_stats import EstimationMode, InsufficientDataError
-from cpdetect.kernel import CppConfig, CppState
+from cpdetect.gaussian_stats import EstimationMode, InsufficientDataError, PrefixStats
+from cpdetect.kernel import CppConfig, CppState, build_conditional_tables
 from cpdetect.single_change import SingleCpModel
 from cpdetect.variance_change import posterior_exactly_one_var
 
@@ -127,3 +127,19 @@ class TestKernelWithVarianceChange:
             state.observe(x)
             vec, p_hzero = state.query_p_second()
             assert p_hzero + vec.total() == pytest.approx(1.0, abs=1e-6)
+
+    def test_tables_match_posterior_exactly_one_var(self):
+        # row j of the kernel's table is the per-segment-variance posterior
+        # on the suffix window (j, n], which needs at least 4 points
+        config = CppConfig(model=SingleCpModel(), variance_change=True)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            xs = np.concatenate([rng.standard_normal(20), rng.standard_normal(20) * 2.5])
+            n = len(xs)
+            floor = 1e-8 * xs.var(ddof=1)
+            tables = build_conditional_tables(PrefixStats(xs), config, rng, floor)
+            for j in range(1, n - 3):
+                ref = posterior_exactly_one_var(xs[j:], floor=floor, start=j + 1)
+                np.testing.assert_allclose(
+                    tables.last_given_second[j, j + 1 : n], ref.values, rtol=0, atol=1e-9
+                )
