@@ -128,6 +128,12 @@ class PrefixStats:
         if not math.isfinite(x):
             raise ValueError("observation must be finite")
         n = self._n
+        # by Cauchy-Schwarz, every squared segment sum is at most m * sumsq
+        # <= (n + 1) * Q, so this keeps all of them finite
+        if not math.isfinite((n + 1) * (float(self._sumsq[n]) + x * x)):
+            raise ValueError(
+                f"observation {x!r} is too large: the squares of the series would overflow"
+            )
         if n + 1 == len(self._sum):
             self._sum = np.concatenate([self._sum, np.zeros(n + 1)])
             self._sumsq = np.concatenate([self._sumsq, np.zeros(n + 1)])

@@ -46,10 +46,17 @@ Per-step cost at n points, by mode:
 
 ``window_cap`` freezes hypotheses older than the cap; it does not reduce
 any of these costs.
+
+A snapshot (:meth:`CppState.to_json`) is one JSON object.  The series,
+p_last, p_second and the history of every P_k, n(n+1)/2 values, are base64
+strings of little-endian float64: about 10.7 bytes per history entry, and a
+restore is bit-exact.  Snapshots of any other format, such as the older
+one that wrote JSON lists, are rejected.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -228,11 +235,9 @@ def _grown(buf: np.ndarray, used: int, need: int, fill: float = 0.0) -> np.ndarr
     return grown
 
 
-def _css_column(S: np.ndarray, Q: np.ndarray, i: int) -> np.ndarray:
-    """css(j, i) for j = 0 .. i-1: the centered sums of squares of (j, i]."""
-    m = np.arange(i, 0, -1, dtype=float)  # i - j
-    s = S[i] - S[:i]
-    return np.maximum((Q[i] - Q[:i]) - s * s / m, 0.0)
+#: Columns per block when a cache fills several columns at once, as it does
+#: on the first observation after a restore.
+_CACHE_BLOCK_COLS = 64
 
 
 class CssCache:
@@ -257,8 +262,19 @@ class CssCache:
         """Add the columns up to the last prefix sum; return the (n+1, n+1) cache."""
         n = len(S) - 1
         self._buf = _grown(self._buf, self._n + 1, n + 1, self.fill)
-        for i in range(self._n + 1, n + 1):
-            self._buf[:i, i] = self._entries(_css_column(S, Q, i))
+        for i0 in range(self._n + 1, n + 1, _CACHE_BLOCK_COLS):
+            i1 = min(i0 + _CACHE_BLOCK_COLS, n + 1)
+            # columns i0 <= i < i1 over the rows j < i1 - 1.  Column i holds
+            # only the rows j < i: the triangle j >= i, which a single column
+            # does not have, is computed with m = 1 and then set back to fill.
+            rows = i1 - 1
+            m = np.maximum(np.arange(i0, i1) - np.arange(rows, dtype=float)[:, None], 1.0)
+            s = S[i0:i1] - S[:rows, None]
+            css = np.maximum((Q[i0:i1] - Q[:rows, None]) - s * s / m, 0.0)
+            block = self._buf[:rows, i0:i1]
+            block[...] = self._entries(css)
+            if i1 - i0 > 1:
+                block[i0:][np.tri(rows - i0, i1 - i0, dtype=bool)] = self.fill
         self._n = n
         return self._buf[: n + 1, : n + 1]
 
@@ -467,14 +483,15 @@ def _fused_tables(n, lo, S, Q, config: CppConfig, rng, floor, cache: CssCache):
     # -(n - j) / 2 * log T plus a constant of the row.
     weights = np.zeros((n + 1, n + 1))
     row_scale = np.zeros(n + 1)
-    for r0 in range(max(lo, 1), n - 1, _FUSED_BLOCK_ROWS):
-        r1 = min(r0 + _FUSED_BLOCK_ROWS, n - 1)
+    first = max(lo, 1)
+    for r0 in range(first, n - 2, _FUSED_BLOCK_ROWS):
+        r1 = min(r0 + _FUSED_BLOCK_ROWS, n - 2)
         m = (n - pos[r0:r1]).astype(float)
         dof = np.maximum(m - 2.0, 1.0)
         w = weights[r0:r1, r0 + 1 : n]
         np.add(css_pre[r0:r1, r0 + 1 : n], css_post[r0 + 1 : n], out=w)  # T, inf where i <= j
         t_min = w.min(axis=1)
-        floored = t_min / dof < floor  # always true of row n-2, whose T is 0
+        floored = t_min / dof < floor
         exact_rows = None
         if floored.any():
             exact_rows = _floored_rows(w[floored], m[floored], dof[floored], floor)
@@ -488,6 +505,10 @@ def _fused_tables(n, lo, S, Q, config: CppConfig, rng, floor, cache: CssCache):
         if exact_rows is not None:
             w[floored] = exact_rows
             row_scale[r0:r1][floored] = 1.0
+    if n - 2 >= first:
+        # the window of row n-2 holds two points, so its one split has weight 1
+        weights[n - 2, n - 1] = 1.0
+        row_scale[n - 2] = 1.0
 
     c0, p_none = _hzero_posterior(n, lo, S, Q, config, rng, floor)
     return FusedTables(
@@ -640,6 +661,17 @@ class PosteriorMatrix:
         self._buf = np.zeros((8, 8))
         self._n = 0
 
+    @classmethod
+    def from_packed(cls, values: np.ndarray, n: int) -> "PosteriorMatrix":
+        """The store of rows k = 1..n, each holding P_k(1..k), from
+        :meth:`packed`'s n(n+1)/2 values."""
+        store = cls()
+        cap = max(8, 1 << n.bit_length())  # the size n appends would have grown it to
+        store._buf = np.zeros((cap, cap))
+        store._buf[1 : n + 1, 1 : n + 1][np.tri(n, dtype=bool)] = values
+        store._n = n
+        return store
+
     def __len__(self) -> int:
         return self._n
 
@@ -661,6 +693,32 @@ class PosteriorMatrix:
     def matrix(self, n: int) -> np.ndarray:
         """Read-only (n+1, n+1) view; entry [k, i] is P_k(i)."""
         return self._buf[: n + 1, : n + 1]
+
+    def packed(self) -> np.ndarray:
+        """Rows k = 1..n, each holding P_k(1..k), end to end: n(n+1)/2 values."""
+        n = self._n
+        return self._buf[1 : n + 1, 1 : n + 1][np.tri(n, dtype=bool)]
+
+
+#: Version of the :meth:`CppState.to_json` snapshot layout.
+SNAPSHOT_FORMAT = 2
+
+
+def _pack(values) -> str:
+    """Float values as base64 of their little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack(doc: dict, name: str, size: int | None = None) -> np.ndarray:
+    """The float64 values that :func:`_pack` wrote as ``doc[name]``; a
+    ValueError unless there are ``size`` of them (when given)."""
+    data = base64.b64decode(doc[name], validate=True)
+    expected = len(data) // 8 if size is None else size
+    if len(data) != 8 * expected:
+        raise ValueError(
+            f"snapshot {name!r} holds {len(data)} bytes, not {expected} float64 values"
+        )
+    return np.frombuffer(data, dtype="<f8").astype(float)
 
 
 class CppState:
@@ -761,9 +819,13 @@ class CppState:
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:
+        """The state as one JSON object.  The float vectors, and the history
+        as rows k = 1..n of P_k(1..k), are base64 strings of little-endian
+        float64 (see :data:`SNAPSHOT_FORMAT`), so a restore is bit-exact."""
         cfg = self.config
         doc = {
-            "series": self.series,
+            "format": SNAPSHOT_FORMAT,
+            "series": _pack(self.series),
             "config": {
                 "mu0": cfg.model.mu0,
                 "sigma": cfg.model.sigma,
@@ -774,9 +836,9 @@ class CppState:
                 "window_cap": cfg.window_cap,
                 "floor_scale": cfg.floor_scale,
             },
-            "posterior_rows": [self.history.row(k).tolist() for k in range(1, self.n + 1)],
-            "p_last": self.p_last[1:].tolist(),
-            "p_second": self.p_second[1:].tolist(),
+            "posterior_rows": _pack(self.history.packed()),
+            "p_last": _pack(self.p_last[1:]),
+            "p_second": _pack(self.p_second[1:]),
             "p_hzero": self.p_hzero,
             "rng_state": self.rng.bit_generator.state,
         }
@@ -784,7 +846,14 @@ class CppState:
 
     @classmethod
     def from_json(cls, text: str) -> "CppState":
+        """Restore a :meth:`to_json` snapshot.  Raises ValueError on another
+        snapshot format or on vectors whose lengths do not match the series."""
         doc = json.loads(text)
+        if doc.get("format") != SNAPSHOT_FORMAT:
+            raise ValueError(
+                f"snapshot format {doc.get('format')!r} is not supported; "
+                f"expected {SNAPSHOT_FORMAT}"
+            )
         c = doc["config"]
         config = CppConfig(
             model=SingleCpModel(
@@ -798,11 +867,12 @@ class CppState:
         )
         state = cls(config=config)
         state.rng.bit_generator.state = doc["rng_state"]
-        state.series = [float(x) for x in doc["series"]]
+        state.series = _unpack(doc, "series").tolist()
+        n = state.n
         state.prefix = PrefixStats(state.series)
-        for k, row in enumerate(doc["posterior_rows"], start=1):
-            state.history.append(np.concatenate([[0.0], row]))
-        state.p_last = np.concatenate([[0.0], doc["p_last"]])
-        state.p_second = np.concatenate([[0.0], doc["p_second"]])
+        rows = _unpack(doc, "posterior_rows", n * (n + 1) // 2)
+        state.history = PosteriorMatrix.from_packed(rows, n)
+        state.p_last = np.concatenate([[0.0], _unpack(doc, "p_last", n)])
+        state.p_second = np.concatenate([[0.0], _unpack(doc, "p_second", n)])
         state.p_hzero = float(doc["p_hzero"])
         return state

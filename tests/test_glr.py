@@ -131,6 +131,23 @@ class TestGlrState:
         with pytest.raises(ValueError):
             state.observe(float("inf"))
 
+    @pytest.mark.parametrize("case", ["scaled-1e160", "600-of-1e152"])
+    def test_rejects_observations_whose_squares_overflow(self, case):
+        if case == "scaled-1e160":
+            xs = np.random.default_rng(0).standard_normal(120)
+            xs[60:] += 2.0
+            xs *= 1e160
+        else:
+            xs = np.full(600, 1e152)
+        state = GlrState()
+        with pytest.raises(ValueError, match="overflow"):
+            for x in xs:
+                k = state.k
+                state.observe(x)
+        assert state.k == k == len(state.series)  # state unchanged
+        if k:
+            assert np.isfinite(glr_decision(state, GlrConfig()))
+
 
 class TestGlrConfig:
     def test_validation(self):

@@ -5,6 +5,8 @@ per-window posteriors in cpdetect.single_change, and the Jacobi update is
 checked against hand-computed substitutions on small hand-set tables.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from cpdetect.kernel import (
     ConditionalTables,
     CppConfig,
     CppState,
+    CssCache,
+    ExpCssCache,
     FactoredTables,
     FusedTables,
     PosteriorMatrix,
@@ -55,6 +59,27 @@ class TestObserveBasics:
         with pytest.raises(ValueError):
             state.observe(float("nan"))
         assert state.n == 1  # state unchanged
+
+    @pytest.mark.parametrize("case", ["scaled-1e160", "600-of-1e152"])
+    def test_rejects_observations_whose_squares_overflow(self, case):
+        if case == "scaled-1e160":
+            xs = np.random.default_rng(0).standard_normal(120)
+            xs[60:] += 2.0
+            xs *= 1e160
+        else:
+            xs = np.full(600, 1e152)
+        state = CppState(config=CppConfig(model=SingleCpModel()))
+        for x in xs:
+            n, p_last = state.n, state.p_last.copy()
+            try:
+                state.observe(x)
+            except ValueError:
+                break
+        else:
+            pytest.fail("no observation was rejected")
+        assert state.n == n  # state unchanged
+        np.testing.assert_array_equal(state.p_last, p_last)
+        assert np.isfinite(state.decision_g())
 
     def test_queries_on_empty_state(self):
         state = CppState(config=CppConfig(model=KNOWN))
@@ -205,25 +230,41 @@ class TestMemoization:
             pm.row(5)
 
 
+def assert_same_state(a, b):
+    """a and b hold the same state, bit for bit."""
+    assert a.series == b.series
+    np.testing.assert_array_equal(a.p_last, b.p_last)
+    np.testing.assert_array_equal(a.p_second, b.p_second)
+    assert a.p_hzero == b.p_hzero
+    np.testing.assert_array_equal(a.history.matrix(a.n), b.history.matrix(b.n))
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    assert a.config == b.config
+
+
 class TestIncrementalEqualsBatch:
-    @pytest.mark.parametrize("mode", [EstimationMode.PLUG_IN, EstimationMode.POSTERIOR_SAMPLE])
-    def test_snapshot_resume_matches_uninterrupted_run(self, mode):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(dict(mode=EstimationMode.PLUG_IN), id="EstimationMode.PLUG_IN"),
+            pytest.param(
+                dict(mode=EstimationMode.POSTERIOR_SAMPLE), id="EstimationMode.POSTERIOR_SAMPLE"
+            ),
+            pytest.param(dict(model=SingleCpModel()), id="fused"),
+            pytest.param(dict(model=SingleCpModel(), variance_change=True), id="variance_change"),
+            pytest.param(dict(window_cap=25), id="window_cap=25"),
+        ],
+    )
+    def test_snapshot_resume_matches_uninterrupted_run(self, case):
         xs = np.random.default_rng(3).standard_normal(40)
         xs[20:] += 1.0
-        full = run_series(xs, mode=mode, seed=9)
+        full = run_series(xs, seed=9, **case)
 
-        half = run_series(xs[:20], mode=mode, seed=9)
+        half = run_series(xs[:20], seed=9, **case)
         resumed = CppState.from_json(half.to_json())
+        assert_same_state(resumed, half)
         for x in xs[20:]:
             resumed.observe(x)
-
-        np.testing.assert_allclose(resumed.p_last, full.p_last, atol=1e-9)
-        np.testing.assert_allclose(resumed.p_second, full.p_second, atol=1e-9)
-        assert resumed.p_hzero == pytest.approx(full.p_hzero, abs=1e-9)
-        for k in range(1, 41):
-            np.testing.assert_allclose(
-                resumed.history.row(k), full.history.row(k), atol=1e-9
-            )
+        assert_same_state(resumed, full)
 
     def test_plug_in_runs_are_reproducible(self):
         xs = np.random.default_rng(4).standard_normal(30)
@@ -319,6 +360,32 @@ class TestSerialization:
         with pytest.raises(ValueError):
             CppConfig(model=KNOWN, jacobi_iterations=0)
 
+    @pytest.mark.parametrize("case", ["list-format", "truncated-history", "short-p_last"])
+    def test_from_json_rejects_malformed_snapshots(self, case):
+        state = run_series(np.random.default_rng(10).standard_normal(12))
+        doc = json.loads(state.to_json())
+        if case == "list-format":
+            del doc["format"]
+            doc["series"] = state.series
+            doc["posterior_rows"] = [state.history.row(k).tolist() for k in range(1, 13)]
+            doc["p_last"] = state.p_last[1:].tolist()
+            doc["p_second"] = state.p_second[1:].tolist()
+            match = "format None"
+        elif case == "truncated-history":
+            doc["posterior_rows"] = doc["posterior_rows"][:-12]
+            match = "posterior_rows"
+        else:
+            doc["p_last"] = kernel._pack(state.p_last[2:])
+            match = "p_last"
+        with pytest.raises(ValueError, match=match):
+            CppState.from_json(json.dumps(doc))
+
+    def test_snapshot_is_packed_binary(self):
+        # base64 float64 costs 32/3 bytes per history entry; JSON text about 23
+        n = 600
+        state = run_series(np.random.default_rng(11).standard_normal(n))
+        assert len(state.to_json().encode()) <= 11 * n * (n + 1) // 2 + 64 * 1024
+
 
 class TestConfigRejection:
     @pytest.mark.parametrize(
@@ -364,6 +431,33 @@ def reference_row(xs, j, sigma):
     row = np.zeros(len(xs) + 1)
     row[j + 1 : len(xs)] = p / p.sum()
     return row
+
+
+def css_columns(xs):
+    """css(j, i) for 0 <= j < i <= n, one column at a time, +inf elsewhere."""
+    S, Q = PrefixStats(xs).arrays()
+    n = len(xs)
+    out = np.full((n + 1, n + 1), np.inf)
+    for i in range(1, n + 1):
+        m = np.arange(i, 0, -1, dtype=float)
+        s = S[i] - S[:i]
+        out[:i, i] = np.maximum((Q[i] - Q[:i]) - s * s / m, 0.0)
+    return out
+
+
+class TestCssCache:
+    def test_block_fill_equals_column_loop(self):
+        xs = np.random.default_rng(20).standard_normal(150)
+        expected = css_columns(xs)
+        S, Q = PrefixStats(xs).arrays()
+        whole, stepwise = CssCache(), CssCache()
+        for n in range(1, 151):
+            got = stepwise.extend(S[: n + 1], Q[: n + 1])
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(whole.extend(S, Q), expected)
+        np.testing.assert_array_equal(
+            ExpCssCache(0.7).extend(S, Q), np.exp(-expected / (2.0 * 0.7 * 0.7))
+        )
 
 
 class TestFactoredTables:
@@ -518,6 +612,14 @@ class TestFusedTables:
         fused = run_series(xs, model=ESTIMATED)
         dense = run_dense(xs, monkeypatch, model=ESTIMATED)
         assert_states_close(fused, dense, atol=1e-9)
+
+    def test_matches_dense_with_three_sweeps(self, monkeypatch):
+        # p_second[n-2] stays 0 for two sweeps, so only a third one reads row n-2
+        xs = np.random.default_rng(20).standard_normal(60)
+        xs[30:] += 1.5
+        fused = run_series(xs, model=ESTIMATED, jacobi_iterations=3)
+        dense = run_dense(xs, monkeypatch, model=ESTIMATED, jacobi_iterations=3)
+        assert_states_close(fused, dense, atol=1e-12)
 
     def test_snapshot_resume_is_bit_identical(self):
         xs = np.random.default_rng(18).standard_normal(60)
