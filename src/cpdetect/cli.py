@@ -58,8 +58,12 @@ def cmd_detect(args) -> int:
         if args.mu0 is None or args.sigma is None:
             print("error: the GLR detector needs --mu0 and --sigma", file=sys.stderr)
             return 2
+        try:
+            cfg = GlrConfig(mu0=args.mu0, sigma=args.sigma, nu_min=args.nu_min)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         state = GlrState()
-        cfg = GlrConfig(mu0=args.mu0, sigma=args.sigma, nu_min=args.nu_min)
         for x in series.values:
             state.observe(x)
             trace.append(glr_decision(state, cfg))

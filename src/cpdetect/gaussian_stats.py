@@ -151,9 +151,6 @@ class PrefixStats:
             sumsq=float(self._sumsq[b] - self._sumsq[a]),
         )
 
-    def total(self) -> GaussianSegmentStats:
-        return self.segment(0, len(self))
-
     def arrays(self):
         """Prefix sum / sumsq as read-only views of length n+1 (index 0 is zero)."""
         views = self._sum[: self._n + 1], self._sumsq[: self._n + 1]

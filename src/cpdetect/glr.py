@@ -25,6 +25,9 @@ class GlrConfig:
     threshold_h: float = 5.0
 
     def __post_init__(self):
+        finite = math.isfinite
+        if not (finite(self.mu0) and finite(self.sigma) and finite(self.nu_min)):
+            raise ValueError("mu0, sigma and nu_min must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.nu_min < 0:

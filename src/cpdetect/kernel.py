@@ -44,6 +44,10 @@ Per-step cost at n points, by mode:
   rebuilt every step, O(n^2) time spread over about fifteen temporary
   (n + 1) x (n + 1) arrays.
 
+In every mode the zero-or-one posterior P(i | fewer than two) reuses the
+vector css(i, n) that the table build computes, and evaluates only the
+splits of the window (lo, n]: O(n - lo) per step.
+
 ``window_cap`` freezes hypotheses older than the cap; it does not reduce
 any of these costs.
 
@@ -97,6 +101,8 @@ class CppConfig:
             raise ValueError("jacobi_iterations must be >= 1")
         if self.window_cap is not None and self.window_cap < 4:
             raise ValueError("window_cap must be >= 4")
+        if not (math.isfinite(self.floor_scale) and self.floor_scale > 0):
+            raise ValueError("floor_scale must be finite and > 0")
         if self.variance_change and (self.model.mu0 is not None or self.model.sigma is not None):
             raise ValueError(
                 "variance_change estimates every segment's mean and variance; "
@@ -235,11 +241,6 @@ def _grown(buf: np.ndarray, used: int, need: int, fill: float = 0.0) -> np.ndarr
     return grown
 
 
-#: Columns per block when a cache fills several columns at once, as it does
-#: on the first observation after a restore.
-_CACHE_BLOCK_COLS = 64
-
-
 class CssCache:
     """C[j, i] = css(j, i) for 0 <= j < i, +inf elsewhere.
 
@@ -255,26 +256,22 @@ class CssCache:
         self._buf = np.full((8, 8), self.fill)
         self._n = 0
 
-    def _entries(self, css: np.ndarray) -> np.ndarray:
-        return css
+    def _store(self, css: np.ndarray, out: np.ndarray) -> None:
+        """Write the entries for ``css`` (not yet clamped at 0) into ``out``."""
+        np.maximum(css, 0.0, out=out)
 
     def extend(self, S: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Add the columns up to the last prefix sum; return the (n+1, n+1) cache."""
         n = len(S) - 1
         self._buf = _grown(self._buf, self._n + 1, n + 1, self.fill)
-        for i0 in range(self._n + 1, n + 1, _CACHE_BLOCK_COLS):
-            i1 = min(i0 + _CACHE_BLOCK_COLS, n + 1)
-            # columns i0 <= i < i1 over the rows j < i1 - 1.  Column i holds
-            # only the rows j < i: the triangle j >= i, which a single column
-            # does not have, is computed with m = 1 and then set back to fill.
-            rows = i1 - 1
-            m = np.maximum(np.arange(i0, i1) - np.arange(rows, dtype=float)[:, None], 1.0)
-            s = S[i0:i1] - S[:rows, None]
-            css = np.maximum((Q[i0:i1] - Q[:rows, None]) - s * s / m, 0.0)
-            block = self._buf[:rows, i0:i1]
-            block[...] = self._entries(css)
-            if i1 - i0 > 1:
-                block[i0:][np.tri(rows - i0, i1 - i0, dtype=bool)] = self.fill
+        for i in range(self._n + 1, n + 1):
+            # the segments (j, i] for j < i, holding i - j points
+            s = S[i] - S[:i]
+            s *= s
+            s /= np.arange(float(i), 0.0, -1.0)
+            css = Q[i] - Q[:i]
+            css -= s
+            self._store(css, self._buf[:i, i])
         self._n = n
         return self._buf[: n + 1, : n + 1]
 
@@ -292,8 +289,10 @@ class ExpCssCache(CssCache):
         super().__init__()
         self._two_sigma2 = 2.0 * (sigma * sigma)
 
-    def _entries(self, css: np.ndarray) -> np.ndarray:
-        return np.exp(-css / self._two_sigma2)
+    def _store(self, css: np.ndarray, out: np.ndarray) -> None:
+        np.maximum(css, 0.0, out=css)
+        np.divide(css, -self._two_sigma2, out=css)
+        np.exp(css, out=out)
 
 
 def _new_cache(config: CppConfig) -> CssCache | None:
@@ -320,45 +319,47 @@ def _rowwise_softmax(logw: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax(logw: np.ndarray) -> np.ndarray:
-    m = logw.max()
-    w = np.exp(logw - m)
-    return w / w.sum()
+def _softmax_inplace(logw: np.ndarray) -> np.ndarray:
+    """Exponentiate and normalize ``logw``, overwriting it."""
+    logw -= logw.max()
+    np.exp(logw, out=logw)
+    logw /= logw.sum()
+    return logw
 
 
 def build_conditional_tables(
     prefix: PrefixStats,
     config: CppConfig,
     rng: np.random.Generator,
-    floor: float,
+    floor: float | None,
     lo: int = 0,
     cache: CssCache | None = None,
 ) -> ConditionalTables | FactoredTables | FusedTables:
     """Conditional changepoint posteriors for every suffix window at once.
 
     ``lo`` restricts attention to positions > lo (used by window capping);
-    with lo = 0 the full series is covered.  A plug-in config without
-    per-segment variances gets :class:`FactoredTables` (known sigma) or
-    :class:`FusedTables` (estimated sigma), extending ``cache`` (a fresh
-    one if None) to the prefix.
+    with lo = 0 the full series is covered.  ``floor`` is the variance
+    floor, which a known-sigma config never reads.  A plug-in config
+    without per-segment variances gets :class:`FactoredTables` (known
+    sigma) or :class:`FusedTables` (estimated sigma), extending ``cache``
+    (a fresh one if None) to the prefix.
     """
     n = len(prefix)
     S, Q = prefix.arrays()
+    # post-change segment (i, n] of every split i; the H0 posterior reads it too
+    m_post = np.arange(float(n), -1.0, -1.0)
+    s_post = S[n] - S
+    css_post = np.maximum((Q[n] - Q) - s_post * s_post / np.maximum(m_post, 1.0), 0.0)
     path = _table_path(config)
     if path != "dense":
         if cache is None:
             cache = _new_cache(config)
         build = _factored_tables if path == "factored" else _fused_tables
-        return build(n, lo, S, Q, config, rng, floor, cache)
+        return build(n, lo, S, Q, css_post, config, rng, floor, cache)
     model = config.model
     sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
 
     pos = np.arange(n + 1)
-    # post-change segment (i, n] per split i
-    m_post = (n - pos).astype(float)
-    mp_post = np.maximum(m_post, 1.0)
-    s_post = S[n] - S
-    css_post = np.maximum((Q[n] - Q) - s_post * s_post / mp_post, 0.0)
 
     # pre-change segment (j, i] per (j, i)
     J = pos[:, None]
@@ -373,10 +374,15 @@ def build_conditional_tables(
         valid &= (m_pre >= 2) & (m_post[None, :] >= 2)
 
     if config.variance_change:
-        logw = _loglik_two_variances(
-            m_pre, css_pre, m_post[None, :] * np.ones_like(m_pre), css_post[None, :], valid,
-            sample, rng, floor,
-        )
+        m_post_grid = m_post[None, :] * np.ones_like(m_pre)
+        draws = None
+        if sample:
+            draws = _two_variance_draws(
+                rng, np.maximum(m_pre - 1.0, 1.0), np.maximum(m_post_grid - 1.0, 1.0),
+                m_pre.shape,
+            )
+        loglik = _loglik_two_variances(m_pre, css_pre, m_post_grid, css_post[None, :], floor, draws)
+        logw = np.where(valid, loglik, -np.inf)
     elif model.sigma is not None:
         sigma2 = model.sigma * model.sigma
         quad_pre = css_pre.copy()
@@ -406,7 +412,7 @@ def build_conditional_tables(
 
     last_given_second = _rowwise_softmax(logw, valid & (J >= 1))
 
-    c0, p_none = _hzero_posterior(n, lo, S, Q, config, rng, floor)
+    c0, p_none = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor)
 
     return ConditionalTables(
         n=n,
@@ -418,28 +424,26 @@ def build_conditional_tables(
     )
 
 
-def _factored_tables(n, lo, S, Q, config: CppConfig, rng, floor, cache: ExpCssCache):
+def _factored_tables(n, lo, S, Q, css_post, config: CppConfig, rng, floor, cache: ExpCssCache):
     two_sigma2 = 2.0 * (config.model.sigma * config.model.sigma)
     pre = cache.extend(S, Q)
-    pos = np.arange(n + 1)
-    s_post = S[n] - S
-    css_post = np.maximum((Q[n] - Q) - s_post * s_post / np.maximum(n - pos, 1.0), 0.0)
 
     # rows j in [first, n-2] use the columns (j, n-1]
     first = max(lo, 1)
-    rows = np.arange(first, n - 1)
     post = np.zeros(n + 1)
     row_scale = np.zeros(n + 1)
+    rows = np.arange(first, n - 1)
     exact = rows
     if rows.size:
-        b = -css_post[first + 1 : n] / two_sigma2
-        post[first + 1 : n] = np.exp(b - b.max())
+        b = css_post[first + 1 : n] / -two_sigma2
+        b -= b.max()
+        np.exp(b, out=post[first + 1 : n])
         z = pre[first : n - 1] @ post
         ok = z >= _MIN_ROW_NORM
-        row_scale[rows[ok]] = 1.0 / z[ok]
+        np.divide(1.0, z, out=row_scale[first : n - 1], where=ok)
         exact = rows[~ok]
 
-    c0, p_none = _hzero_posterior(n, lo, S, Q, config, rng, floor)
+    c0, p_none = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor)
     return FactoredTables(
         n=n,
         lo=lo,
@@ -471,11 +475,9 @@ def _log_space_rows(rows, n, S, Q, css_post, two_sigma2):
 _FUSED_BLOCK_ROWS = 64
 
 
-def _fused_tables(n, lo, S, Q, config: CppConfig, rng, floor, cache: CssCache):
+def _fused_tables(n, lo, S, Q, css_post, config: CppConfig, rng, floor, cache: CssCache):
     css_pre = cache.extend(S, Q)
     pos = np.arange(n + 1)
-    s_post = S[n] - S
-    css_post = np.maximum((Q[n] - Q) - s_post * s_post / np.maximum(n - pos, 1.0), 0.0)
 
     # rows j in [max(lo, 1), n-2] use the columns (j, n-1].  Row j's window (j, n]
     # has n - j points whatever the split, so with T = css_pre + css_post
@@ -510,7 +512,7 @@ def _fused_tables(n, lo, S, Q, config: CppConfig, rng, floor, cache: CssCache):
         weights[n - 2, n - 1] = 1.0
         row_scale[n - 2] = 1.0
 
-    c0, p_none = _hzero_posterior(n, lo, S, Q, config, rng, floor)
+    c0, p_none = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor)
     return FusedTables(
         n=n,
         lo=lo,
@@ -531,27 +533,43 @@ def _floored_rows(t, m, dof, floor):
     return _rowwise_softmax(logw, valid)
 
 
-def _loglik_two_variances(m_pre, css_pre, m_post, css_post, valid, sample, rng, floor):
-    """Split log-likelihood with separately estimated variance per segment."""
+def _two_variance_draws(rng, dof_pre, dof_post, shape):
+    """Posterior-sampling draws for :func:`_loglik_two_variances`: per
+    segment, chi-square draws with the segment's degrees of freedom, then
+    standard normals of ``shape``."""
+    return (
+        rng.chisquare(dof_pre), rng.standard_normal(shape),
+        rng.chisquare(dof_post), rng.standard_normal(shape),
+    )
 
-    def seg_ll(m, css):
-        dof = np.maximum(m - 1.0, 1.0)
-        if sample:
-            s2 = css / np.maximum(rng.chisquare(dof), 1e-300)
-        else:
-            s2 = css / dof
+
+def _loglik_two_variances(m_pre, css_pre, m_post, css_post, floor, draws=None):
+    """Split log-likelihood with separately estimated variance per segment.
+
+    ``draws`` is None for plug-in estimates, or the output of
+    :func:`_two_variance_draws` for posterior sampling.
+    """
+    chi_pre, z_pre, chi_post, z_post = (None,) * 4 if draws is None else draws
+
+    def seg_ll(m, css, chi, z):
+        s2 = css / (np.maximum(m - 1.0, 1.0) if chi is None else np.maximum(chi, 1e-300))
         s2 = np.maximum(s2, floor)
-        quad = css.copy()
-        if sample:
-            quad = quad + s2 * rng.standard_normal(np.shape(s2)) ** 2
+        quad = css if z is None else css + s2 * z**2
         return -0.5 * m * (LOG_2PI + np.log(s2)) - quad / (2.0 * s2)
 
-    out = seg_ll(m_pre, css_pre) + seg_ll(m_post, css_post)
-    return np.where(valid, out, -np.inf)
+    return seg_ll(m_pre, css_pre, chi_pre, z_pre) + seg_ll(m_post, css_post, chi_post, z_post)
 
 
-def _hzero_posterior(n, lo, S, Q, config: CppConfig, rng, floor):
-    """Zero-or-one-changepoint posterior on the window (lo, n]."""
+def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor):
+    """Zero-or-one-changepoint posterior on the window (lo, n].
+
+    Only the admissible splits i are evaluated: lo < i <= n - 1, or, with
+    per-segment variances, the splits that leave each segment two points.
+    ``css_post[i]`` is css(i, n), which the table build already has, so a
+    step costs O(n - lo).  Posterior sampling draws one value per position
+    0..n and keeps the splits, so the generator advances as it would over
+    the whole series.
+    """
     model = config.model
     sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
     m_win = n - lo
@@ -559,72 +577,65 @@ def _hzero_posterior(n, lo, S, Q, config: CppConfig, rng, floor):
     if m_win < 1:
         return c0, 1.0
 
-    i = np.arange(n + 1)
-    m0 = (i - lo).astype(float)
-    mp0 = np.maximum(m0, 1.0)
-    s0 = S - S[lo]
-    css0 = np.maximum((Q - Q[lo]) - s0 * s0 / mp0, 0.0)
-    ybar0 = s0 / mp0
-    m1 = (n - i).astype(float)
-    mp1 = np.maximum(m1, 1.0)
-    s1 = S[n] - S
-    css1 = np.maximum((Q[n] - Q) - s1 * s1 / mp1, 0.0)
-
-    split_ok = (i > lo) & (i <= n - 1)
-    if config.variance_change:
-        split_ok &= (m0 >= 2) & (m1 >= 2)
-
+    # splits a <= i < b: the segments (lo, i] and (i, n] hold m0 and m1 points
+    a, b = (lo + 2, n - 1) if config.variance_change else (lo + 1, n)
+    m0 = np.arange(float(a - lo), float(b - lo))
+    s0 = S[a:b] - S[lo]
+    css0 = np.maximum((Q[a:b] - Q[lo]) - s0 * s0 / m0, 0.0)
+    css1 = css_post[a:b]
     # whole-window stats for the no-change hypothesis
-    w_m = float(m_win)
     w_s = S[n] - S[lo]
-    w_css = max((Q[n] - Q[lo]) - w_s * w_s / w_m, 0.0)
+    w_css = max((Q[n] - Q[lo]) - w_s * w_s / m_win, 0.0)
+    dof_w = max(m_win - 1.0, 1.0)
+
+    def window_s2():
+        return max(w_css / rng.chisquare(dof_w) if sample else w_css / dof_w, floor)
+
+    # posterior sampling adds s2 times a squared normal draw to a css
+    def window_quad(s2w):
+        return w_css + s2w * rng.standard_normal() ** 2 if sample else w_css
+
+    def split_quad(css, s2):  # one draw per position 0..n, kept on the splits
+        return css + s2 * rng.standard_normal(n + 1)[a:b] ** 2 if sample else css
 
     if config.variance_change:
-        split_ll = _loglik_two_variances(
-            m0[None, :], css0[None, :], m1[None, :], css1[None, :],
-            split_ok[None, :], sample, rng, floor,
-        )[0]
-        dof_w = max(w_m - 1.0, 1.0)
-        s2w = w_css / rng.chisquare(dof_w) if sample else w_css / dof_w
-        s2w = max(s2w, floor)
-        quad_w = w_css + (s2w * rng.standard_normal() ** 2 if sample else 0.0)
-        h0_ll = -0.5 * w_m * (LOG_2PI + math.log(s2w)) - quad_w / (2.0 * s2w)
+        draws = None
+        if sample:
+            pos = np.arange(n + 1.0)
+            draws = _two_variance_draws(
+                rng, np.maximum(pos - lo - 1.0, 1.0), np.maximum(n - pos - 1.0, 1.0), n + 1
+            )
+            draws = tuple(d[a:b] for d in draws)
+        split_ll = _loglik_two_variances(m0, css0, m_win - m0, css1, floor, draws)
+        s2w = window_s2()
+        quad_w = window_quad(s2w)
     else:
         if model.sigma is not None:
-            s2 = np.full(n + 1, model.sigma * model.sigma)
-            s2w = s2[0]
+            s2 = s2w = model.sigma * model.sigma
         else:
-            dof = np.maximum(m_win - 2.0, 1.0)
-            css_tot = css0 + css1
-            s2 = css_tot / np.maximum(rng.chisquare(dof * np.ones(n + 1)), 1e-300) if sample \
-                else css_tot / dof
-            s2 = np.maximum(s2, floor)
-            dof_w = max(w_m - 1.0, 1.0)
-            s2w = w_css / rng.chisquare(dof_w) if sample else w_css / dof_w
-            s2w = max(s2w, floor)
-
+            dof = max(m_win - 2.0, 1.0)
+            chi = np.maximum(rng.chisquare(dof, n + 1)[a:b], 1e-300) if sample else dof
+            s2 = np.maximum((css0 + css1) / chi, floor)
+            s2w = window_s2()
         if model.mu0 is not None:
-            quad0 = css0 + m0 * (model.mu0 - ybar0) ** 2
-            quad_w = w_css + w_m * (model.mu0 - w_s / w_m) ** 2
+            quad0 = css0 + m0 * (model.mu0 - s0 / m0) ** 2
+            quad_w = w_css + m_win * (model.mu0 - w_s / m_win) ** 2
         else:
-            quad0 = css0 + (s2 * rng.standard_normal(n + 1) ** 2 if sample else 0.0)
-            quad_w = w_css + (s2w * rng.standard_normal() ** 2 if sample else 0.0)
-        quad1 = css1 + (s2 * rng.standard_normal(n + 1) ** 2 if sample else 0.0)
+            quad0 = split_quad(css0, s2)
+            quad_w = window_quad(s2w)
+        quad1 = split_quad(css1, s2)
+        split_ll = -0.5 * m_win * (LOG_2PI + np.log(s2)) - (quad0 + quad1) / (2.0 * s2)
+    h0_ll = -0.5 * m_win * (LOG_2PI + math.log(s2w)) - quad_w / (2.0 * s2w)
 
-        split_ll = -0.5 * (m0 + m1) * (LOG_2PI + np.log(s2)) - (quad0 + quad1) / (2.0 * s2)
-        h0_ll = -0.5 * w_m * (LOG_2PI + math.log(s2w)) - quad_w / (2.0 * s2w)
-
-    f = model.change_prior_f
-    log_prior_split = math.log(f) + (m_win - 1) * math.log1p(-f)
-    log_prior_h0 = m_win * math.log1p(-f)
-
-    if not split_ok.any():
+    if b <= a:
         return c0, 1.0
-    logw = np.concatenate(
-        [[log_prior_h0 + h0_ll], log_prior_split + split_ll[split_ok]]
-    )
-    probs = _softmax(logw)
-    c0[split_ok] = probs[1:]
+    # prior f (1 - f)^(m_win - 1) per split, (1 - f)^m_win for no change
+    f = model.change_prior_f
+    logw = np.empty(b - a + 1)
+    logw[0] = m_win * math.log1p(-f) + h0_ll
+    np.add(split_ll, math.log(f) + (m_win - 1) * math.log1p(-f), out=logw[1:])
+    probs = _softmax_inplace(logw)
+    c0[a:b] = probs[1:]
     return c0, float(probs[0])
 
 
@@ -642,16 +653,26 @@ def jacobi_step(
             f"state vectors of length {len(p_last)}/{len(p_second)} do not "
             f"match tables for n={tables.n}"
         )
-    p_hzero = float(np.clip(1.0 - p_second.sum(), 0.0, 1.0))
+    p_hzero = _unit(1.0 - float(p_second.sum()))
     new_last = tables.last_given_hzero * p_hzero + tables.last_from_second(p_second)
     k = tables.memo.shape[0]
     new_second = np.zeros_like(p_second)
     if k > 0:
         new_second[: tables.memo.shape[1]] = tables.memo.T @ p_last[:k]
-    new_last = np.clip(new_last, 0.0, 1.0)
-    new_second = np.clip(new_second, 0.0, 1.0)
-    new_hzero = float(np.clip(1.0 - new_second.sum(), 0.0, 1.0))
-    return new_last, new_second, new_hzero
+    _clamp_unit(new_last)
+    _clamp_unit(new_second)
+    return new_last, new_second, _unit(1.0 - float(new_second.sum()))
+
+
+def _unit(x: float) -> float:
+    """x clamped to [0, 1]."""
+    return min(max(x, 0.0), 1.0)
+
+
+def _clamp_unit(a: np.ndarray) -> None:
+    """Clamp ``a`` to [0, 1] in place."""
+    np.maximum(a, 0.0, out=a)
+    np.minimum(a, 1.0, out=a)
 
 
 class PosteriorMatrix:
@@ -746,8 +767,13 @@ class CppState:
         return len(self.series)
 
     def _floor(self) -> float:
-        total = self.prefix.total()
-        gv = total.sample_variance if total.n >= 2 else None
+        """floor_scale times the sample variance of the series."""
+        n = self.n
+        gv = None
+        if n >= 2:
+            S, Q = self.prefix.arrays()
+            total = float(S[n])
+            gv = max(0.0, float(Q[n]) - total * total / n) / (n - 1)
         return variance_floor(gv, self.config.floor_scale)
 
     def _active_lo(self) -> int:
@@ -772,17 +798,22 @@ class CppState:
             return
 
         lo = self._active_lo()
+        # only an estimated sigma reads the variance floor
+        floor = self._floor() if self.config.model.sigma is None else None
         tables = build_conditional_tables(
-            self.prefix, self.config, self.rng, self._floor(), lo=lo, cache=self._cache
+            self.prefix, self.config, self.rng, floor, lo=lo, cache=self._cache
         )
         tables.memo = self.history.matrix(n - 1)
 
         # warm start: previous solution extended by a zero for the new index
-        pl = np.append(self.p_last, 0.0)
-        ps = np.append(self.p_second, 0.0)
-        frozen_last = pl[: lo + 1].copy()
-        frozen_second = ps[: lo + 1].copy()
-        bucket = float(frozen_second.sum())
+        pl = np.zeros(n + 1)
+        ps = np.zeros(n + 1)
+        pl[:n] = self.p_last
+        ps[:n] = self.p_second
+        if lo > 0:
+            frozen_last = pl[: lo + 1].copy()
+            frozen_second = ps[: lo + 1].copy()
+            bucket = float(frozen_second.sum())
         for _ in range(self.config.jacobi_iterations):
             pl, ps, ph = jacobi_step(pl, ps, tables)
             if lo > 0:
@@ -792,7 +823,7 @@ class CppState:
                 pl += tables.second_row(lo) * bucket
                 pl[: lo + 1] = frozen_last
                 ps[: lo + 1] = frozen_second
-                ph = float(np.clip(1.0 - ps.sum(), 0.0, 1.0))
+                ph = _unit(1.0 - float(ps.sum()))
         self.p_last, self.p_second, self.p_hzero = pl, ps, ph
         self.history.append(pl)
 

@@ -49,8 +49,10 @@ class SingleCpModel:
     def __post_init__(self):
         if not (0.0 < self.change_prior_f < 1.0):
             raise ValueError("change_prior_f must be in (0, 1)")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("known sigma must be positive")
+        if self.mu0 is not None and not math.isfinite(self.mu0):
+            raise ValueError("known mu0 must be finite")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("known sigma must be positive and finite")
 
 
 @dataclass

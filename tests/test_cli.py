@@ -111,12 +111,30 @@ class TestDetectCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [
+            (["--sigma", "0"], "sigma must be positive"),
+            (["--sigma", "nan"], "finite"),
+            (["--nu-min", "inf"], "finite"),
+        ],
+        ids=["sigma-zero", "sigma-nan", "nu-min-inf"],
+    )
+    def test_glr_config_error_is_usage_error(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "s.csv"
+        path.write_text("value\n1.0\n2.0\n3.0\n")
+        rc = main(["detect", str(path), "--detector", "glr", "--mu0", "0", "--sigma", "1", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
             (["--variance-change", "--mu0", "0"], "variance_change"),
             (["--variance-change", "--sigma", "1"], "variance_change"),
             (["--window-cap", "2"], "window_cap"),
             (["--jacobi-iterations", "0"], "jacobi_iterations"),
+            (["--sigma", "nan"], "sigma must be"),
         ],
-        ids=["variance-change-mu0", "variance-change-sigma", "window-cap", "jacobi"],
+        ids=["variance-change-mu0", "variance-change-sigma", "window-cap", "jacobi", "sigma-nan"],
     )
     def test_config_the_kernel_rejects_is_usage_error(self, tmp_path, capsys, flags, message):
         path = tmp_path / "s.csv"

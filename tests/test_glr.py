@@ -1,5 +1,7 @@
 """Tests for the GLR mean-shift detector, pinned by a grid-search oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,3 +159,9 @@ class TestGlrConfig:
             GlrConfig(nu_min=-0.1)
         with pytest.raises(ValueError):
             GlrConfig(threshold_h=0.0)
+
+    @pytest.mark.parametrize("param", ["mu0", "sigma", "nu_min"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_parameters(self, param, value):
+        with pytest.raises(ValueError, match="finite"):
+            GlrConfig(**{param: value})

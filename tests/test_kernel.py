@@ -6,6 +6,7 @@ checked against hand-computed substitutions on small hand-set tables.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -179,27 +180,35 @@ class TestJacobiStep:
         assert worse <= 5
 
 
+ORACLE_MODELS = [
+    (SingleCpModel(mu0=0.0, sigma=1.0), "known-known"),
+    (SingleCpModel(mu0=0.0, sigma=None), "known-est"),
+    (SingleCpModel(mu0=None, sigma=1.0), "est-known"),
+    (SingleCpModel(mu0=None, sigma=None), "est-est"),
+]
+#: (series length, window_cap, id suffix)
+ORACLE_WINDOWS = [(18, None, ""), (18, 12, "-capped"), (200, None, "-n200")]
+
+
 class TestConditionalTablesAgainstScalarReference:
     @pytest.mark.parametrize(
-        "model",
+        "model, n, cap",
         [
-            SingleCpModel(mu0=0.0, sigma=1.0),
-            SingleCpModel(mu0=0.0, sigma=None),
-            SingleCpModel(mu0=None, sigma=1.0),
-            SingleCpModel(mu0=None, sigma=None),
+            pytest.param(model, n, cap, id=model_id + suffix)
+            for n, cap, suffix in ORACLE_WINDOWS
+            for model, model_id in ORACLE_MODELS
         ],
-        ids=["known-known", "known-est", "est-known", "est-est"],
     )
-    def test_suffix_posteriors_match_single_change(self, model):
+    def test_suffix_posteriors_match_single_change(self, model, n, cap):
         rng = np.random.default_rng(21)
-        xs = rng.standard_normal(18)
-        xs[9:] += 1.5
+        xs = rng.standard_normal(n)
+        xs[n // 2 :] += 1.5
         prefix = PrefixStats(xs)
-        config = CppConfig(model=model)
-        tables = build_conditional_tables(prefix, config, np.random.default_rng(0), 1e-8)
-        n = len(xs)
+        config = CppConfig(model=model, window_cap=cap)
+        lo = 0 if cap is None else n - cap
+        tables = build_conditional_tables(prefix, config, np.random.default_rng(0), 1e-8, lo=lo)
         # rows of last_given_second are exactly-one posteriors on suffixes
-        for j in range(1, n - 1):
+        for j in range(max(lo, 1), n - 1):
             suffix_model = SingleCpModel(
                 mu0=None, sigma=model.sigma, change_prior_f=model.change_prior_f
             )
@@ -207,10 +216,11 @@ class TestConditionalTablesAgainstScalarReference:
             np.testing.assert_allclose(
                 tables.last_given_second[j, j + 1 : n], ref.values, atol=1e-9
             )
-        # the H-zero branch is the zero-or-one posterior on the full window
-        p_none, vec = posterior_zero_or_one(xs, model)
+        # the H-zero branch is the zero-or-one posterior on the window (lo, n]
+        p_none, vec = posterior_zero_or_one(xs[lo:], model)
         assert tables.none_given_hzero == pytest.approx(p_none, abs=1e-9)
-        np.testing.assert_allclose(tables.last_given_hzero[1:n], vec.values, atol=1e-9)
+        np.testing.assert_allclose(tables.last_given_hzero[lo + 1 : n], vec.values, atol=1e-9)
+        assert not tables.last_given_hzero[: lo + 1].any() and tables.last_given_hzero[n] == 0
 
 
 class TestMemoization:
@@ -395,6 +405,22 @@ class TestConfigRejection:
     def test_variance_change_rejects_known_parameters(self, model):
         with pytest.raises(ValueError, match="variance_change"):
             CppConfig(model=model, variance_change=True)
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [("mu0", math.nan), ("mu0", math.inf), ("sigma", math.nan), ("sigma", math.inf)],
+        ids=["mu0-nan", "mu0-inf", "sigma-nan", "sigma-inf"],
+    )
+    def test_model_rejects_non_finite_parameters(self, param, value):
+        with pytest.raises(ValueError, match=f"{param} must be"):
+            SingleCpModel(**{param: value})
+
+    @pytest.mark.parametrize(
+        "floor_scale", [math.nan, math.inf, 0.0, -1e-8], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_floor_scale_must_be_finite_and_positive(self, floor_scale):
+        with pytest.raises(ValueError, match="floor_scale"):
+            CppConfig(floor_scale=floor_scale)
 
 
 def run_dense(xs, monkeypatch, **kwargs):
