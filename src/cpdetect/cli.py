@@ -278,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prior per-step change probability")
     p.add_argument("--nu-min", type=float, default=0.5)
     p.add_argument("--jacobi-iterations", type=int, default=1)
-    p.add_argument("--window-cap", type=int, default=None)
+    p.add_argument("--window-cap", type=int, default=None,
+                   help="freeze hypotheses older than this many points; once it binds, "
+                   "the cap does not conserve probability today (g can exceed 1)")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--output", default=None, help="write the report here")
     p.add_argument("--snapshot", default=None, help="write a state snapshot (JSON)")

@@ -22,7 +22,6 @@ class GlrConfig:
     mu0: float = 0.0
     sigma: float = 1.0
     nu_min: float = 0.5
-    threshold_h: float = 5.0
 
     def __post_init__(self):
         finite = math.isfinite
@@ -32,8 +31,6 @@ class GlrConfig:
             raise ValueError("sigma must be positive")
         if self.nu_min < 0:
             raise ValueError("nu_min must be nonnegative")
-        if self.threshold_h <= 0:
-            raise ValueError("threshold_h must be positive")
 
 
 class GlrState:

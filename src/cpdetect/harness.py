@@ -133,13 +133,14 @@ def make_detector(kind: DetectorKind, spec: ScenarioSpec,
     return GlrState()
 
 
-def _decision(kind: DetectorKind, detector, spec: ScenarioSpec,
-              params: DetectorParams) -> float:
+def _decision_fn(kind: DetectorKind, detector, spec: ScenarioSpec, params: DetectorParams):
+    """The detector's decision statistic as a function of no arguments.  A
+    GLR config is built once here, not once per step; the call goes through
+    this module's ``glr_decision`` so that it can be rebound."""
     if kind is DetectorKind.CPP:
-        return detector.decision_g()
-    cfg = GlrConfig(mu0=spec.mu0, sigma=spec.sigma, nu_min=params.nu_min,
-                    threshold_h=1.0)
-    return glr_decision(detector, cfg)
+        return detector.decision_g
+    cfg = GlrConfig(mu0=spec.mu0, sigma=spec.sigma, nu_min=params.nu_min)
+    return lambda: glr_decision(detector, cfg)
 
 
 def _trial_streams(spec: ScenarioSpec, trial_index: int):
@@ -168,10 +169,11 @@ def run_trial(
 ) -> TrialRecord:
     """Feed one trial's stream into a fresh detector until alarm or cutoff."""
     t0, xs = generate_trial_data(spec, rng)
+    decision = _decision_fn(kind, detector, spec, params)
     for k, x in enumerate(xs, start=1):
         try:
             detector.observe(x)
-            g = _decision(kind, detector, spec, params)
+            g = decision()
         except Exception as exc:
             raise RuntimeError(f"detector failed at step {k} of trial (t0={t0})") from exc
         if g >= threshold_h:
@@ -184,6 +186,7 @@ def _trial_alarm_times(spec, kind, params, thresholds, trial_index):
     data_rng, det_rng = _trial_streams(spec, trial_index)
     t0, xs = generate_trial_data(spec, data_rng)
     detector = make_detector(kind, spec, params, rng=det_rng)
+    decision = _decision_fn(kind, detector, spec, params)
     order = np.argsort(thresholds)
     sorted_h = np.asarray(thresholds, dtype=float)[order]
     t_a = [None] * len(thresholds)
@@ -191,7 +194,7 @@ def _trial_alarm_times(spec, kind, params, thresholds, trial_index):
     for k, x in enumerate(xs, start=1):
         try:
             detector.observe(x)
-            g = _decision(kind, detector, spec, params)
+            g = decision()
         except Exception as exc:
             raise RuntimeError(
                 f"detector failed at step {k} of trial {trial_index} (t0={t0})"

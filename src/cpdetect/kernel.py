@@ -21,17 +21,19 @@ a fixed number of Jacobi sweeps warm-started from the previous solution.
 The per-window posteriors in :mod:`cpdetect.single_change` serve as the
 reference implementation the tables are tested against.
 
+Every mode builds one table type, :class:`ConditionalTables`, whose row j
+is weights[j] * post * row_scale[j] but for a few rows stored whole.
 Per-step cost at n points, by mode:
 
 * Known sigma, plug-in means: the tables factor.  With
   a[j, i] = -css(j, i) / 2 sigma^2 for the pre-change segment (j, i] and
   b[i] = -css(i, n) / 2 sigma^2 for the post-change one, row j of
-  P(i | second-to-last at j) is softmax_i(a[j, i] + b[i]).  The matrix
-  E = exp(a) is fixed once column i exists, so it is cached and grows by
-  one O(n) column per step; only exp(b) is new.  The row normalisers
+  P(i | second-to-last at j) is softmax_i(a[j, i] + b[i]).  The weights
+  E = exp(a) are fixed once column i exists, so they are cached and grow by
+  one O(n) column per step; only post = exp(b) is new.  The row normalisers
   Z = E exp(b) and the p_last update ((p_second / Z)^T E) * exp(b) are two
   n x n matrix-vector products, plus a third for the memo lookup.  A row
-  whose Z underflows is recomputed in log space at O(n).
+  whose Z underflows is stored whole, from the full formula, at O(n).
 * Estimated sigma, plug-in means: the window (j, n] of row j has n - j
   points whatever the split i, so with T = css(j, i) + css(i, n) and an
   unbinding variance floor, row j is proportional to
@@ -40,16 +42,16 @@ Per-step cost at n points, by mode:
   at a time: O(n^2 / 2) time with one (n + 1) x (n + 1) array of weights.
   Rows where the floor binds take the full log-likelihood.  The p_last
   update is then one n x n matrix-vector product, plus the memo lookup.
-* Posterior sampling, or per-segment variances: the dense tables are
-  rebuilt every step, O(n^2) time spread over about fifteen temporary
-  (n + 1) x (n + 1) arrays.
+* Posterior sampling, or per-segment variances: the weights are the dense
+  tables, rebuilt every step, O(n^2) time spread over about fifteen
+  temporary (n + 1) x (n + 1) arrays.
 
 In every mode the zero-or-one posterior P(i | fewer than two) reuses the
 vector css(i, n) that the table build computes, and evaluates only the
 splits of the window (lo, n]: O(n - lo) per step.
 
 ``window_cap`` freezes hypotheses older than the cap; it does not reduce
-any of these costs.
+any of these costs, and a binding cap does not conserve probability today.
 
 A snapshot (:meth:`CppState.to_json`) is one JSON object.  The series,
 p_last, p_second and the history of every P_k, n(n+1)/2 values, are base64
@@ -63,7 +65,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,7 +88,8 @@ class CppConfig:
     for unknown parameters; ``variance_change`` switches the split likelihood
     to per-segment variances; ``window_cap``, when set, freezes hypotheses
     older than the cap.  The cap does not bound per-step time or memory,
-    which still grow with the series.
+    which still grow with the series, and once it binds it does not
+    conserve probability today: p_hzero + sum(p_second) and g can exceed 1.
     """
 
     model: SingleCpModel = field(default_factory=SingleCpModel)
@@ -122,67 +125,34 @@ def _table_path(config: CppConfig) -> str:
 class ConditionalTables:
     """Everything one Jacobi sweep needs, for a window of n points.
 
-    Arrays are indexed by absolute position (index 0 unused).
-    ``last_given_second[j, i]`` is the exactly-one posterior on the suffix
-    window after j; ``last_given_hzero[i]`` (with residual
-    ``none_given_hzero``) is the zero-or-one posterior on the full window;
-    ``memo[k, i]`` holds the stored p_last row from step k.
+    Arrays are indexed by absolute position (index 0 unused).  Row j of
+    ``last_given_second``, the exactly-one posterior on the suffix window
+    after j, is ``weights[j] * post * row_scale[j]``; the rows listed in
+    ``exact`` have ``row_scale`` 0 and are stored whole in ``exact_rows``.
+    ``post`` is ones but with known sigma, and ``row_scale`` ones on the
+    dense path.  ``last_given_hzero[i]`` is the zero-or-one posterior on the
+    window (lo, n]; ``memo[k, i]`` holds the stored p_last row from step k.
     """
 
     n: int
-    lo: int
     last_given_hzero: np.ndarray
-    none_given_hzero: float
-    last_given_second: np.ndarray
-    memo: np.ndarray
-
-    def last_from_second(self, p_second: np.ndarray) -> np.ndarray:
-        """sum_j p_second[j] * last_given_second[j]."""
-        return self.last_given_second.T @ p_second
-
-    def second_row(self, j: int) -> np.ndarray:
-        """Row j of last_given_second."""
-        return self.last_given_second[j]
-
-
-#: A factored row whose normaliser Z_j falls below this is recomputed in log
-#: space.  Above it, every term carrying more than 1e-16 of Z_j is at least
-#: 1e-296, so both of its factors in (0, 1] are normal doubles.
-_MIN_ROW_NORM = 1e-280
-
-
-@dataclass
-class FactoredTables:
-    """The tables of a known-sigma, plug-in config, in factored form.
-
-    Row j of ``last_given_second`` is ``pre[j] * post * row_scale[j]``:
-    ``pre`` is the cached exp(-css(j, i) / 2 sigma^2), ``post`` holds
-    exp(b - max b) on the columns in use, and ``row_scale`` holds 1 / Z_j on
-    the rows in use.  Rows listed in ``exact`` underflowed; they have
-    ``row_scale`` 0 and are stored whole in ``exact_rows``.
-    """
-
-    n: int
-    lo: int
-    last_given_hzero: np.ndarray
-    none_given_hzero: float
-    pre: np.ndarray
+    weights: np.ndarray
     post: np.ndarray
     row_scale: np.ndarray
+    memo: np.ndarray
     exact: np.ndarray
     exact_rows: np.ndarray
-    memo: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     @property
     def last_given_second(self) -> np.ndarray:
         """The dense (n+1, n+1) table, built on demand."""
-        dense = self.pre * self.post * self.row_scale[:, None]
+        dense = self.weights * self.post * self.row_scale[:, None]
         dense[self.exact] = self.exact_rows
         return dense
 
     def last_from_second(self, p_second: np.ndarray) -> np.ndarray:
         """sum_j p_second[j] * last_given_second[j], as one matvec."""
-        out = ((p_second * self.row_scale) @ self.pre) * self.post
+        out = ((p_second * self.row_scale) @ self.weights) * self.post
         if self.exact.size:
             out += p_second[self.exact] @ self.exact_rows
         return out
@@ -192,39 +162,16 @@ class FactoredTables:
         hit = np.flatnonzero(self.exact == j)
         if hit.size:
             return self.exact_rows[hit[0]]
-        return self.pre[j] * self.post * self.row_scale[j]
+        return self.weights[j] * self.post * self.row_scale[j]
 
 
-@dataclass
-class FusedTables:
-    """The tables of an estimated-sigma, plug-in config, from one fused pass.
+#: The ``exact`` of a table with no rows stored whole.
+_NO_ROWS = np.zeros(0, dtype=np.intp)
 
-    Row j of ``last_given_second`` is ``weights[j] * row_scale[j]``: the
-    unnormalised weights of the rows in use, and 1 / Z_j on those rows.
-    Rows where the variance floor binds are stored normalised, with
-    ``row_scale`` 1.
-    """
-
-    n: int
-    lo: int
-    last_given_hzero: np.ndarray
-    none_given_hzero: float
-    weights: np.ndarray
-    row_scale: np.ndarray
-    memo: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-
-    @property
-    def last_given_second(self) -> np.ndarray:
-        """The dense (n+1, n+1) table, built on demand."""
-        return self.weights * self.row_scale[:, None]
-
-    def last_from_second(self, p_second: np.ndarray) -> np.ndarray:
-        """sum_j p_second[j] * last_given_second[j], as one matvec."""
-        return (p_second * self.row_scale) @ self.weights
-
-    def second_row(self, j: int) -> np.ndarray:
-        """Row j of last_given_second, built alone."""
-        return self.weights[j] * self.row_scale[j]
+#: A factored row whose normaliser Z_j falls below this is stored whole, from
+#: the full log-likelihood.  Above it, every term carrying more than 1e-16 of
+#: Z_j is at least 1e-296, so both of its factors in (0, 1] are normal doubles.
+_MIN_ROW_NORM = 1e-280
 
 
 def _grown(buf: np.ndarray, used: int, need: int, fill: float = 0.0) -> np.ndarray:
@@ -298,11 +245,9 @@ class ExpCssCache(CssCache):
 def _new_cache(config: CppConfig) -> CssCache | None:
     """The column cache the config's table path extends, if any."""
     path = _table_path(config)
-    if path == "factored":
-        return ExpCssCache(config.model.sigma)
-    if path == "fused":
-        return CssCache()
-    return None
+    if path == "dense":
+        return None
+    return ExpCssCache(config.model.sigma) if path == "factored" else CssCache()
 
 
 def _rowwise_softmax(logw: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -319,12 +264,11 @@ def _rowwise_softmax(logw: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_inplace(logw: np.ndarray) -> np.ndarray:
-    """Exponentiate and normalize ``logw``, overwriting it."""
-    logw -= logw.max()
-    np.exp(logw, out=logw)
-    logw /= logw.sum()
-    return logw
+def _gauss_loglik(m, log_s2, s2, quad):
+    """Log-likelihood of m Gaussian points with variance s2 whose squared
+    deviations from the mean sum to ``quad``.  The caller passes log(s2), so
+    a scalar path keeps ``math.log`` and an array path ``np.log``."""
+    return -0.5 * m * (LOG_2PI + log_s2) - quad / (2.0 * s2)
 
 
 def build_conditional_tables(
@@ -334,15 +278,16 @@ def build_conditional_tables(
     floor: float | None,
     lo: int = 0,
     cache: CssCache | None = None,
-) -> ConditionalTables | FactoredTables | FusedTables:
+    memo: np.ndarray | None = None,
+) -> ConditionalTables:
     """Conditional changepoint posteriors for every suffix window at once.
 
     ``lo`` restricts attention to positions > lo (used by window capping);
     with lo = 0 the full series is covered.  ``floor`` is the variance
     floor, which a known-sigma config never reads.  A plug-in config
-    without per-segment variances gets :class:`FactoredTables` (known
-    sigma) or :class:`FusedTables` (estimated sigma), extending ``cache``
-    (a fresh one if None) to the prefix.
+    without per-segment variances extends ``cache`` (a fresh one if None)
+    to the prefix.  ``memo`` is the history of p_last rows from steps
+    1..n-1 (empty if None).
     """
     n = len(prefix)
     S, Q = prefix.arrays()
@@ -351,82 +296,79 @@ def build_conditional_tables(
     s_post = S[n] - S
     css_post = np.maximum((Q[n] - Q) - s_post * s_post / np.maximum(m_post, 1.0), 0.0)
     path = _table_path(config)
-    if path != "dense":
+    if path == "dense":
+        weights = _formula_rows(np.arange(n + 1), slice(None), n, lo, S, Q, css_post, config,
+                                rng, floor)
+        post = row_scale = np.ones(n + 1)
+        exact, exact_rows = _NO_ROWS, np.zeros((0, n + 1))
+    else:
         if cache is None:
             cache = _new_cache(config)
-        build = _factored_tables if path == "factored" else _fused_tables
-        return build(n, lo, S, Q, css_post, config, rng, floor, cache)
+        build = _factored_rows if path == "factored" else _fused_rows
+        weights, post, row_scale, exact, exact_rows = build(
+            n, lo, S, Q, css_post, config, floor, cache
+        )
+    c0 = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor)
+    memo = np.zeros((0, 0)) if memo is None else memo
+    return ConditionalTables(n, c0, weights, post, row_scale, memo, exact, exact_rows)
+
+
+def _formula_rows(rows, cols, n, lo, S, Q, css_post, config: CppConfig, rng, floor):
+    """Rows ``rows`` of last_given_second on the column slice ``cols`` of
+    0..n, from the full split log-likelihood, each normalised over its
+    admissible splits.
+
+    Posterior sampling draws arrays of shape (len(rows), number of columns),
+    so the dense build, which asks for every row and column, draws
+    (n+1) x (n+1).
+    """
+    if not rows.size:
+        return np.zeros((0, n + 1))[:, cols]
     model = config.model
     sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
-
-    pos = np.arange(n + 1)
-
-    # pre-change segment (j, i] per (j, i)
-    J = pos[:, None]
-    I = pos[None, :]
+    J = rows[:, None]
+    I = np.arange(n + 1)[None, cols]
+    # pre-change segment (j, i] and post-change segment (i, n] per (j, i)
     m_pre = (I - J).astype(float)
-    mp_pre = np.maximum(m_pre, 1.0)
     s_pre = S[I] - S[J]
-    css_pre = np.maximum((Q[I] - Q[J]) - s_pre * s_pre / mp_pre, 0.0)
+    css_pre = np.maximum((Q[I] - Q[J]) - s_pre * s_pre / np.maximum(m_pre, 1.0), 0.0)
+    m_post = (n - I).astype(float)
+    css_post = css_post[I]
 
-    valid = (J >= lo) & (J <= n - 2) & (I > J) & (I <= n - 1)
+    valid = (J >= max(lo, 1)) & (J <= n - 2) & (I > J) & (I <= n - 1)
     if config.variance_change:
-        valid &= (m_pre >= 2) & (m_post[None, :] >= 2)
-
-    if config.variance_change:
-        m_post_grid = m_post[None, :] * np.ones_like(m_pre)
+        valid &= (m_pre >= 2) & (m_post >= 2)
+        m_post = m_post * np.ones_like(m_pre)
         draws = None
         if sample:
             draws = _two_variance_draws(
-                rng, np.maximum(m_pre - 1.0, 1.0), np.maximum(m_post_grid - 1.0, 1.0),
-                m_pre.shape,
+                rng, np.maximum(m_pre - 1.0, 1.0), np.maximum(m_post - 1.0, 1.0), m_pre.shape
             )
-        loglik = _loglik_two_variances(m_pre, css_pre, m_post_grid, css_post[None, :], floor, draws)
-        logw = np.where(valid, loglik, -np.inf)
+        logw = _loglik_two_variances(m_pre, css_pre, m_post, css_post, floor, draws)
     elif model.sigma is not None:
         sigma2 = model.sigma * model.sigma
-        quad_pre = css_pre.copy()
-        quad_post = np.broadcast_to(css_post[None, :], css_pre.shape).copy()
+        quad_pre, quad_post = css_pre, css_post
         if sample:
-            quad_pre += sigma2 * rng.standard_normal(css_pre.shape) ** 2
-            quad_post += sigma2 * rng.standard_normal(css_pre.shape) ** 2
-        logw = (
-            -0.5 * (m_pre + m_post[None, :]) * (LOG_2PI + math.log(sigma2))
-            - (quad_pre + quad_post) / (2.0 * sigma2)
-        )
+            quad_pre = quad_pre + sigma2 * rng.standard_normal(m_pre.shape) ** 2
+            quad_post = quad_post + sigma2 * rng.standard_normal(m_pre.shape) ** 2
+        logw = _gauss_loglik(m_pre + m_post, math.log(sigma2), sigma2, quad_pre + quad_post)
     else:
-        m_win = m_pre + m_post[None, :]
+        m_win = m_pre + m_post
         dof = np.maximum(m_win - 2.0, 1.0)
-        css_tot = css_pre + css_post[None, :]
-        if sample:
-            s2 = css_tot / np.maximum(rng.chisquare(dof), 1e-300)
-        else:
-            s2 = css_tot / dof
-        s2 = np.maximum(s2, floor)
-        quad = css_tot.copy()
+        quad = css_pre + css_post
+        chi = np.maximum(rng.chisquare(dof), 1e-300) if sample else dof
+        s2 = np.maximum(quad / chi, floor)
         if sample:
             quad = quad + s2 * (
                 rng.standard_normal(s2.shape) ** 2 + rng.standard_normal(s2.shape) ** 2
             )
-        logw = -0.5 * m_win * (LOG_2PI + np.log(s2)) - quad / (2.0 * s2)
-
-    last_given_second = _rowwise_softmax(logw, valid & (J >= 1))
-
-    c0, p_none = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor)
-
-    return ConditionalTables(
-        n=n,
-        lo=lo,
-        last_given_hzero=c0,
-        none_given_hzero=p_none,
-        last_given_second=last_given_second,
-        memo=np.zeros((0, 0)),  # filled in by the caller that owns the history
-    )
+        logw = _gauss_loglik(m_win, np.log(s2), s2, quad)
+    return _rowwise_softmax(logw, valid)
 
 
-def _factored_tables(n, lo, S, Q, css_post, config: CppConfig, rng, floor, cache: ExpCssCache):
+def _factored_rows(n, lo, S, Q, css_post, config: CppConfig, floor, cache: ExpCssCache):
     two_sigma2 = 2.0 * (config.model.sigma * config.model.sigma)
-    pre = cache.extend(S, Q)
+    weights = cache.extend(S, Q)
 
     # rows j in [first, n-2] use the columns (j, n-1]
     first = max(lo, 1)
@@ -438,35 +380,12 @@ def _factored_tables(n, lo, S, Q, css_post, config: CppConfig, rng, floor, cache
         b = css_post[first + 1 : n] / -two_sigma2
         b -= b.max()
         np.exp(b, out=post[first + 1 : n])
-        z = pre[first : n - 1] @ post
+        z = weights[first : n - 1] @ post
         ok = z >= _MIN_ROW_NORM
         np.divide(1.0, z, out=row_scale[first : n - 1], where=ok)
         exact = rows[~ok]
-
-    c0, p_none = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor)
-    return FactoredTables(
-        n=n,
-        lo=lo,
-        last_given_hzero=c0,
-        none_given_hzero=p_none,
-        pre=pre,
-        post=post,
-        row_scale=row_scale,
-        exact=exact,
-        exact_rows=_log_space_rows(exact, n, S, Q, css_post, two_sigma2),
-    )
-
-
-def _log_space_rows(rows, n, S, Q, css_post, two_sigma2):
-    """Rows of last_given_second for known sigma, computed as a softmax of logs."""
-    if not rows.size:
-        return np.zeros((0, n + 1))
-    i = np.arange(n + 1)[None, :]
-    j = rows[:, None]
-    s = S[i] - S[j]
-    css = np.maximum((Q[i] - Q[j]) - s * s / np.maximum(i - j, 1.0), 0.0)
-    logw = -(css + css_post[None, :]) / two_sigma2
-    return _rowwise_softmax(logw, (i > j) & (i <= n - 1))
+    exact_rows = _formula_rows(exact, slice(None), n, lo, S, Q, css_post, config, None, floor)
+    return weights, post, row_scale, exact, exact_rows
 
 
 #: Rows per block of the fused pass.  A block spans the columns right of its
@@ -475,7 +394,7 @@ def _log_space_rows(rows, n, S, Q, css_post, two_sigma2):
 _FUSED_BLOCK_ROWS = 64
 
 
-def _fused_tables(n, lo, S, Q, css_post, config: CppConfig, rng, floor, cache: CssCache):
+def _fused_rows(n, lo, S, Q, css_post, config: CppConfig, floor, cache: CssCache):
     css_pre = cache.extend(S, Q)
     pos = np.arange(n + 1)
 
@@ -493,10 +412,14 @@ def _fused_tables(n, lo, S, Q, css_post, config: CppConfig, rng, floor, cache: C
         w = weights[r0:r1, r0 + 1 : n]
         np.add(css_pre[r0:r1, r0 + 1 : n], css_post[r0 + 1 : n], out=w)  # T, inf where i <= j
         t_min = w.min(axis=1)
+        # rows where the floor binds take the full log-likelihood, stored
+        # normalised with row_scale 1
         floored = t_min / dof < floor
         exact_rows = None
         if floored.any():
-            exact_rows = _floored_rows(w[floored], m[floored], dof[floored], floor)
+            exact_rows = _formula_rows(
+                pos[r0:r1][floored], slice(r0 + 1, n), n, lo, S, Q, css_post, config, None, floor
+            )
             w[floored] = 1.0
             t_min[floored] = 1.0
         np.divide(w, t_min[:, None], out=w)
@@ -511,26 +434,7 @@ def _fused_tables(n, lo, S, Q, css_post, config: CppConfig, rng, floor, cache: C
         # the window of row n-2 holds two points, so its one split has weight 1
         weights[n - 2, n - 1] = 1.0
         row_scale[n - 2] = 1.0
-
-    c0, p_none = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor)
-    return FusedTables(
-        n=n,
-        lo=lo,
-        last_given_hzero=c0,
-        none_given_hzero=p_none,
-        weights=weights,
-        row_scale=row_scale,
-    )
-
-
-def _floored_rows(t, m, dof, floor):
-    """Rows of last_given_second for estimated sigma where the variance floor
-    binds, from T = css_pre + css_post (inf where i <= j)."""
-    valid = np.isfinite(t)
-    t = np.where(valid, t, 0.0)
-    s2 = np.maximum(t / dof[:, None], floor)
-    logw = -0.5 * m[:, None] * (LOG_2PI + np.log(s2)) - t / (2.0 * s2)
-    return _rowwise_softmax(logw, valid)
+    return weights, np.ones(n + 1), row_scale, _NO_ROWS, np.zeros((0, n + 1))
 
 
 def _two_variance_draws(rng, dof_pre, dof_post, shape):
@@ -555,7 +459,7 @@ def _loglik_two_variances(m_pre, css_pre, m_post, css_post, floor, draws=None):
         s2 = css / (np.maximum(m - 1.0, 1.0) if chi is None else np.maximum(chi, 1e-300))
         s2 = np.maximum(s2, floor)
         quad = css if z is None else css + s2 * z**2
-        return -0.5 * m * (LOG_2PI + np.log(s2)) - quad / (2.0 * s2)
+        return _gauss_loglik(m, np.log(s2), s2, quad)
 
     return seg_ll(m_pre, css_pre, chi_pre, z_pre) + seg_ll(m_post, css_post, chi_post, z_post)
 
@@ -575,7 +479,7 @@ def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor):
     m_win = n - lo
     c0 = np.zeros(n + 1)
     if m_win < 1:
-        return c0, 1.0
+        return c0
 
     # splits a <= i < b: the segments (lo, i] and (i, n] hold m0 and m1 points
     a, b = (lo + 2, n - 1) if config.variance_change else (lo + 1, n)
@@ -624,19 +528,21 @@ def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor):
             quad0 = split_quad(css0, s2)
             quad_w = window_quad(s2w)
         quad1 = split_quad(css1, s2)
-        split_ll = -0.5 * m_win * (LOG_2PI + np.log(s2)) - (quad0 + quad1) / (2.0 * s2)
-    h0_ll = -0.5 * m_win * (LOG_2PI + math.log(s2w)) - quad_w / (2.0 * s2w)
+        split_ll = _gauss_loglik(m_win, np.log(s2), s2, quad0 + quad1)
+    h0_ll = _gauss_loglik(m_win, math.log(s2w), s2w, quad_w)
 
     if b <= a:
-        return c0, 1.0
+        return c0
     # prior f (1 - f)^(m_win - 1) per split, (1 - f)^m_win for no change
     f = model.change_prior_f
     logw = np.empty(b - a + 1)
     logw[0] = m_win * math.log1p(-f) + h0_ll
     np.add(split_ll, math.log(f) + (m_win - 1) * math.log1p(-f), out=logw[1:])
-    probs = _softmax_inplace(logw)
-    c0[a:b] = probs[1:]
-    return c0, float(probs[0])
+    logw -= logw.max()
+    np.exp(logw, out=logw)
+    logw /= logw.sum()
+    c0[a:b] = logw[1:]
+    return c0
 
 
 def jacobi_step(
@@ -801,9 +707,9 @@ class CppState:
         # only an estimated sigma reads the variance floor
         floor = self._floor() if self.config.model.sigma is None else None
         tables = build_conditional_tables(
-            self.prefix, self.config, self.rng, floor, lo=lo, cache=self._cache
+            self.prefix, self.config, self.rng, floor, lo=lo, cache=self._cache,
+            memo=self.history.matrix(n - 1),
         )
-        tables.memo = self.history.matrix(n - 1)
 
         # warm start: previous solution extended by a zero for the new index
         pl = np.zeros(n + 1)

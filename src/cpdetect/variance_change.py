@@ -11,7 +11,6 @@ infinity; the variance floor caps that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,23 +20,10 @@ from .gaussian_stats import (
     GaussianParams,
     GaussianSegmentStats,
     InsufficientDataError,
-    PosteriorDraw,
     estimate_draw,
     log_likelihood_segment,
 )
 from .single_change import ProbabilityVector, _normalize_log_weights
-
-
-@dataclass(frozen=True)
-class TwoSegmentDraw:
-    """Concrete parameters on either side of a candidate changepoint."""
-
-    pre: PosteriorDraw
-    post: PosteriorDraw
-
-
-def _draw(stats: GaussianSegmentStats, mode, rng, floor) -> PosteriorDraw:
-    return estimate_draw(stats, mode, rng=rng, floor=floor)
 
 
 def posterior_exactly_one_var(
@@ -59,15 +45,13 @@ def posterior_exactly_one_var(
         raise InsufficientDataError("need at least 4 points (2 per segment)")
     logw = np.full(n - 1, -np.inf)
     for i in range(2, n - 1):
-        pre = _draw(GaussianSegmentStats.from_data(window[:i]), mode, rng, floor)
-        post = _draw(GaussianSegmentStats.from_data(window[i:]), mode, rng, floor)
+        pre_stats = GaussianSegmentStats.from_data(window[:i])
+        post_stats = GaussianSegmentStats.from_data(window[i:])
+        pre = estimate_draw(pre_stats, mode, rng=rng, floor=floor)
+        post = estimate_draw(post_stats, mode, rng=rng, floor=floor)
         logw[i - 1] = log_likelihood_segment(
-            GaussianSegmentStats.from_data(window[:i]),
-            GaussianParams(pre.mu, math.sqrt(pre.sigma2)),
-        ) + log_likelihood_segment(
-            GaussianSegmentStats.from_data(window[i:]),
-            GaussianParams(post.mu, math.sqrt(post.sigma2)),
-        )
+            pre_stats, GaussianParams(pre.mu, math.sqrt(pre.sigma2))
+        ) + log_likelihood_segment(post_stats, GaussianParams(post.mu, math.sqrt(post.sigma2)))
     values = np.zeros(n - 1)
     finite = np.isfinite(logw)
     values[finite] = _normalize_log_weights(logw[finite])

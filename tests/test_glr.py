@@ -157,8 +157,6 @@ class TestGlrConfig:
             GlrConfig(sigma=0.0)
         with pytest.raises(ValueError):
             GlrConfig(nu_min=-0.1)
-        with pytest.raises(ValueError):
-            GlrConfig(threshold_h=0.0)
 
     @pytest.mark.parametrize("param", ["mu0", "sigma", "nu_min"])
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
