@@ -1,12 +1,6 @@
 """Bayesian last-changepoint probabilities with a GLR baseline and benchmark."""
 
-from .gaussian_stats import (
-    EstimationMode,
-    GaussianParams,
-    GaussianSegmentStats,
-    PosteriorDraw,
-    PrefixStats,
-)
+from .gaussian_stats import EstimationMode, PrefixStats
 from .glr import GlrConfig, GlrState, glr_decision
 from .harness import (
     DetectorKind,
@@ -19,14 +13,14 @@ from .harness import (
     threshold_sweep,
     trimmed_mean_delay,
 )
-from .kernel import CppConfig, CppState, PosteriorMatrix, jacobi_step
-from .single_change import (
+from .kernel import (
+    CppConfig,
+    CppState,
+    PosteriorMatrix,
     ProbabilityVector,
     SingleCpModel,
-    posterior_exactly_one,
-    posterior_zero_or_one,
+    jacobi_step,
 )
-from .variance_change import posterior_exactly_one_var
 
 __all__ = [
     "CppConfig",
@@ -34,11 +28,8 @@ __all__ = [
     "DetectorKind",
     "DetectorParams",
     "EstimationMode",
-    "GaussianParams",
-    "GaussianSegmentStats",
     "GlrConfig",
     "GlrState",
-    "PosteriorDraw",
     "PosteriorMatrix",
     "PrefixStats",
     "ProbabilityVector",
@@ -49,9 +40,6 @@ __all__ = [
     "glr_decision",
     "interpolate_at_alpha",
     "jacobi_step",
-    "posterior_exactly_one",
-    "posterior_exactly_one_var",
-    "posterior_zero_or_one",
     "sigma_sweep",
     "threshold_sweep",
     "trimmed_mean_delay",

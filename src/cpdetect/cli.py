@@ -23,8 +23,7 @@ from .harness import (
     sigma_sweep,
     threshold_sweep,
 )
-from .kernel import CppConfig, CppState
-from .single_change import SingleCpModel
+from .kernel import CppConfig, CppState, SingleCpModel
 
 
 def _resolve_seed(value):
@@ -100,9 +99,9 @@ def cmd_detect(args) -> int:
             "g_trace": trace,
             "g_final": trace[-1],
         }
-        if args.snapshot:
-            with open(args.snapshot, "w") as fh:
-                fh.write(state.to_json())
+    if args.snapshot:
+        with open(args.snapshot, "w") as fh:
+            fh.write(state.to_json())
 
     if args.format == "json":
         out = json.dumps(report)

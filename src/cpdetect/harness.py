@@ -25,8 +25,7 @@ import numpy as np
 
 from .gaussian_stats import EstimationMode
 from .glr import GlrConfig, GlrState, glr_decision
-from .kernel import CppConfig, CppState
-from .single_change import SingleCpModel
+from .kernel import CppConfig, CppState, SingleCpModel
 
 #: Threshold grids used when the caller does not supply any.  The
 #: probability-scale detector alarms on total changepoint mass; the GLR
@@ -157,28 +156,6 @@ def generate_trial_data(spec: ScenarioSpec, rng: np.random.Generator):
     xs = rng.standard_normal(total) * spec.sigma + spec.mu0
     xs[t0 - 1 :] += spec.mu1 - spec.mu0
     return t0, xs
-
-
-def run_trial(
-    spec: ScenarioSpec,
-    detector,
-    threshold_h: float,
-    rng: np.random.Generator,
-    kind: DetectorKind = DetectorKind.CPP,
-    params: DetectorParams = DetectorParams(),
-) -> TrialRecord:
-    """Feed one trial's stream into a fresh detector until alarm or cutoff."""
-    t0, xs = generate_trial_data(spec, rng)
-    decision = _decision_fn(kind, detector, spec, params)
-    for k, x in enumerate(xs, start=1):
-        try:
-            detector.observe(x)
-            g = decision()
-        except Exception as exc:
-            raise RuntimeError(f"detector failed at step {k} of trial (t0={t0})") from exc
-        if g >= threshold_h:
-            return TrialRecord(t0=t0, t_a=k, false_alarm=k <= t0, out_of_bounds=False)
-    return TrialRecord(t0=t0, t_a=None, false_alarm=False, out_of_bounds=True)
 
 
 def _trial_alarm_times(spec, kind, params, thresholds, trial_index):

@@ -18,8 +18,8 @@ on the full window, and P_k(i) is the p_last vector that was computed when
 only k points had been seen (memoized, looked up rather than recomputed).
 Each arriving point triggers an update of the conditional tables followed by
 a fixed number of Jacobi sweeps warm-started from the previous solution.
-The per-window posteriors in :mod:`cpdetect.single_change` serve as the
-reference implementation the tables are tested against.
+The test suite's ``tests/oracles.py`` evaluates the same per-window
+posteriors split by split, as the reference the tables are tested against.
 
 Every mode builds one table type, :class:`ConditionalTables`, whose row j
 is weights[j] * post * row_scale[j] but for a few rows stored whole.
@@ -76,7 +76,62 @@ from .gaussian_stats import (
     PrefixStats,
     variance_floor,
 )
-from .single_change import ProbabilityVector, SingleCpModel
+
+
+@dataclass(frozen=True)
+class SingleCpModel:
+    """What is known a priori about the window.
+
+    ``mu0`` / ``sigma`` set to None mean the parameter is estimated from the
+    data; a float means it is known.  ``change_prior_f`` is the per-step
+    prior probability of a changepoint used by the zero-or-one posterior.
+    """
+
+    mu0: float | None = None
+    sigma: float | None = None
+    change_prior_f: float = 0.005
+
+    def __post_init__(self):
+        if not (0.0 < self.change_prior_f < 1.0):
+            raise ValueError("change_prior_f must be in (0, 1)")
+        if self.mu0 is not None and not math.isfinite(self.mu0):
+            raise ValueError("known mu0 must be finite")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("known sigma must be positive and finite")
+
+
+@dataclass
+class ProbabilityVector:
+    """Probabilities indexed by absolute changepoint position.
+
+    ``values[k]`` is the probability that the changepoint is at position
+    ``start + k``.  Vectors may be sub-normalized (the residual mass belongs
+    to hypotheses outside the vector, e.g. "no changepoint").
+    """
+
+    values: np.ndarray
+    start: int = 1
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def total(self) -> float:
+        return float(self.values.sum())
+
+    def argmax(self) -> int:
+        """Absolute position of the largest entry; ties go to the smallest."""
+        if len(self.values) == 0:
+            raise ValueError("empty probability vector")
+        return self.start + int(np.argmax(self.values))
+
+    def prob_at(self, position: int) -> float:
+        k = position - self.start
+        if not (0 <= k < len(self.values)):
+            return 0.0
+        return float(self.values[k])
 
 
 @dataclass(frozen=True)
@@ -97,15 +152,12 @@ class CppConfig:
     estimation_mode: EstimationMode = EstimationMode.PLUG_IN
     variance_change: bool = False
     window_cap: int | None = None
-    floor_scale: float = DEFAULT_FLOOR_SCALE
 
     def __post_init__(self):
         if self.jacobi_iterations < 1:
             raise ValueError("jacobi_iterations must be >= 1")
         if self.window_cap is not None and self.window_cap < 4:
             raise ValueError("window_cap must be >= 4")
-        if not (math.isfinite(self.floor_scale) and self.floor_scale > 0):
-            raise ValueError("floor_scale must be finite and > 0")
         if self.variance_change and (self.model.mu0 is not None or self.model.sigma is not None):
             raise ValueError(
                 "variance_change estimates every segment's mean and variance; "
@@ -648,6 +700,13 @@ def _unpack(doc: dict, name: str, size: int | None = None) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").astype(float)
 
 
+def _probabilities(name: str, values, top: float = 1.0):
+    """``values`` if every one is finite and in [0, ``top``]; else a ValueError."""
+    if not (np.isfinite(values) & (values >= 0.0) & (values <= top)).all():
+        raise ValueError(f"snapshot {name!r} holds a non-finite value or one outside [0, {top:g}]")
+    return values
+
+
 class CppState:
     """Full incremental detector state; feed points with :meth:`observe`."""
 
@@ -673,14 +732,14 @@ class CppState:
         return len(self.series)
 
     def _floor(self) -> float:
-        """floor_scale times the sample variance of the series."""
+        """The variance floor for the sample variance of the series."""
         n = self.n
         gv = None
         if n >= 2:
             S, Q = self.prefix.arrays()
             total = float(S[n])
             gv = max(0.0, float(Q[n]) - total * total / n) / (n - 1)
-        return variance_floor(gv, self.config.floor_scale)
+        return variance_floor(gv)
 
     def _active_lo(self) -> int:
         cap = self.config.window_cap
@@ -771,7 +830,6 @@ class CppState:
                 "estimation_mode": cfg.estimation_mode.value,
                 "variance_change": cfg.variance_change,
                 "window_cap": cfg.window_cap,
-                "floor_scale": cfg.floor_scale,
             },
             "posterior_rows": _pack(self.history.packed()),
             "p_last": _pack(self.p_last[1:]),
@@ -784,7 +842,9 @@ class CppState:
     @classmethod
     def from_json(cls, text: str) -> "CppState":
         """Restore a :meth:`to_json` snapshot.  Raises ValueError on another
-        snapshot format or on vectors whose lengths do not match the series."""
+        snapshot format, on vectors whose lengths do not match the series, and
+        on a non-finite value or a probability outside [0, 1] (p_last may
+        exceed 1 once a window_cap binds)."""
         doc = json.loads(text)
         if doc.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(
@@ -792,6 +852,12 @@ class CppState:
                 f"expected {SNAPSHOT_FORMAT}"
             )
         c = doc["config"]
+        # older snapshots record the variance floor scale, which is now fixed
+        if c.get("floor_scale", DEFAULT_FLOOR_SCALE) != DEFAULT_FLOOR_SCALE:
+            raise ValueError(
+                f"snapshot floor_scale {c['floor_scale']!r} is not supported; "
+                f"expected {DEFAULT_FLOOR_SCALE}"
+            )
         config = CppConfig(
             model=SingleCpModel(
                 mu0=c["mu0"], sigma=c["sigma"], change_prior_f=c["change_prior_f"]
@@ -800,16 +866,20 @@ class CppState:
             estimation_mode=EstimationMode(c["estimation_mode"]),
             variance_change=c["variance_change"],
             window_cap=c["window_cap"],
-            floor_scale=c["floor_scale"],
         )
         state = cls(config=config)
         state.rng.bit_generator.state = doc["rng_state"]
         state.series = _unpack(doc, "series").tolist()
         n = state.n
-        state.prefix = PrefixStats(state.series)
+        state.prefix = PrefixStats(state.series)  # rejects a non-finite series
+        # a binding window_cap does not conserve probability, so its p_last
+        # entries can exceed 1
+        top = math.inf if config.window_cap is not None and n > config.window_cap else 1.0
         rows = _unpack(doc, "posterior_rows", n * (n + 1) // 2)
-        state.history = PosteriorMatrix.from_packed(rows, n)
-        state.p_last = np.concatenate([[0.0], _unpack(doc, "p_last", n)])
-        state.p_second = np.concatenate([[0.0], _unpack(doc, "p_second", n)])
-        state.p_hzero = float(doc["p_hzero"])
+        state.history = PosteriorMatrix.from_packed(_probabilities("posterior_rows", rows, top), n)
+        p_last = _probabilities("p_last", _unpack(doc, "p_last", n), top)
+        state.p_last = np.concatenate([[0.0], p_last])
+        p_second = _probabilities("p_second", _unpack(doc, "p_second", n))
+        state.p_second = np.concatenate([[0.0], p_second])
+        state.p_hzero = float(_probabilities("p_hzero", np.float64(doc["p_hzero"])))
         return state

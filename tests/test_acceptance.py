@@ -12,15 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from cpdetect.gaussian_stats import (
-    EstimationMode,
-    GaussianParams,
-    GaussianSegmentStats,
-    log_likelihood_point,
-    log_likelihood_segment,
-    sample_mu,
-    sample_sigma2,
-)
+from cpdetect.gaussian_stats import EstimationMode
 from cpdetect.glr import GlrConfig, GlrState, glr_decision
 from cpdetect.harness import (
     DetectorKind,
@@ -29,9 +21,17 @@ from cpdetect.harness import (
     sigma_sweep,
     threshold_sweep,
 )
-from cpdetect.kernel import CppConfig, CppState
-from cpdetect.single_change import SingleCpModel, posterior_exactly_one
+from cpdetect.kernel import CppConfig, CppState, SingleCpModel
 from cpdetect.datasets import nile
+from oracles import (
+    GaussianParams,
+    GaussianSegmentStats,
+    log_likelihood_point,
+    log_likelihood_segment,
+    posterior_exactly_one,
+    sample_mu,
+    sample_sigma2,
+)
 
 CI_PRESET = os.environ.get("CPDETECT_CI") == "1"
 

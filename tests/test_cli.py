@@ -166,6 +166,17 @@ class TestDetectCommand:
         state = CppState.from_json(snap.read_text())
         assert state.n == 10
 
+    def test_glr_snapshot_round_trips(self, tmp_path):
+        from cpdetect.glr import GlrState
+
+        snap = tmp_path / "state.json"
+        rc = main(["detect", "nile", "--detector", "glr", "--mu0", "900", "--sigma", "150",
+                   "--snapshot", str(snap)])
+        assert rc == 0
+        state = GlrState.from_json(snap.read_text())
+        assert state.series == nile().values.tolist()
+        assert state.to_json() == snap.read_text()
+
     def test_byte_identical_under_fixed_seed(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("value\n" + "\n".join(str(0.1 * x) for x in range(20)) + "\n")

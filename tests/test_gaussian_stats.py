@@ -1,4 +1,5 @@
-"""Tests for Gaussian likelihoods, sufficient statistics and sampling."""
+"""Tests for prefix statistics and the variance floor, and for the Gaussian
+likelihoods, sufficient statistics and sampling in tests/oracles.py."""
 
 import math
 
@@ -10,25 +11,25 @@ from hypothesis import strategies as st
 from cpdetect.gaussian_stats import (
     DEFAULT_FLOOR_SCALE,
     EstimationMode,
+    PrefixStats,
+    variance_floor,
+)
+from oracles import (
     GaussianParams,
     GaussianSegmentStats,
     InsufficientDataError,
-    PrefixStats,
     estimate_draw,
     log_likelihood_point,
     log_likelihood_segment,
     posterior_sigma2_params,
     sample_mu,
     sample_sigma2,
-    variance_floor,
 )
 
 # ln(1/sqrt(2*pi)) and the log-density at x=1.7, mu=0.3, sigma=2.0, both
 # evaluated with 40-digit arbitrary-precision arithmetic (mpmath).
 LOG_STD_NORMAL_MODE = -0.9189385332046727417803297
 LOG_PDF_17_03_20 = -1.857085713764618051197562
-
-finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 class TestLogLikelihoodPoint:
@@ -100,33 +101,6 @@ class TestSegmentStats:
         with pytest.raises(ValueError):
             GaussianSegmentStats(n=-1)
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        a=st.lists(finite_floats, max_size=50),
-        b=st.lists(finite_floats, max_size=50),
-    )
-    def test_merge_matches_concatenation(self, a, b):
-        merged = GaussianSegmentStats.from_data(a) + GaussianSegmentStats.from_data(b)
-        whole = GaussianSegmentStats.from_data(a + b)
-        assert merged.n == whole.n
-        assert merged.sum == pytest.approx(whole.sum, rel=1e-12, abs=1e-9)
-        assert merged.sumsq == pytest.approx(whole.sumsq, rel=1e-12, abs=1e-9)
-
-    @given(
-        a=st.lists(finite_floats, max_size=20),
-        b=st.lists(finite_floats, max_size=20),
-        c=st.lists(finite_floats, max_size=20),
-    )
-    def test_merge_associative(self, a, b, c):
-        sa = GaussianSegmentStats.from_data(a)
-        sb = GaussianSegmentStats.from_data(b)
-        sc = GaussianSegmentStats.from_data(c)
-        left = (sa + sb) + sc
-        right = sa + (sb + sc)
-        assert left.n == right.n
-        assert left.sum == pytest.approx(right.sum, rel=1e-12, abs=1e-9)
-        assert left.sumsq == pytest.approx(right.sumsq, rel=1e-12, abs=1e-9)
-
     def test_mean_of_empty_segment_raises(self):
         with pytest.raises(InsufficientDataError):
             _ = GaussianSegmentStats(n=0).mean
@@ -141,20 +115,13 @@ class TestPrefixStats:
         rng = np.random.default_rng(7)
         data = rng.standard_normal(40)
         prefix = PrefixStats(data)
+        S, Q = prefix.arrays()
+        assert len(prefix) == len(S) - 1 == 40
         for a in range(0, 41, 7):
             for b in range(a, 41, 5):
-                seg = prefix.segment(a, b)
                 direct = GaussianSegmentStats.from_data(data[a:b])
-                assert seg.n == direct.n
-                assert seg.sum == pytest.approx(direct.sum, abs=1e-9)
-                assert seg.sumsq == pytest.approx(direct.sumsq, abs=1e-9)
-
-    def test_out_of_range_segment_raises(self):
-        prefix = PrefixStats([1.0, 2.0])
-        with pytest.raises(IndexError):
-            prefix.segment(0, 3)
-        with pytest.raises(IndexError):
-            prefix.segment(2, 1)
+                assert S[b] - S[a] == pytest.approx(direct.sum, abs=1e-9)
+                assert Q[b] - Q[a] == pytest.approx(direct.sumsq, abs=1e-9)
 
     def test_append_rejects_non_finite(self):
         prefix = PrefixStats()
@@ -177,7 +144,7 @@ class TestPrefixStats:
         np.testing.assert_array_equal(Q, ref_q)
         np.testing.assert_array_equal(S20, ref_s[:21])
         assert not S.flags.writeable and not Q.flags.writeable
-        assert isinstance(prefix.segment(3, 50).sum, float)
+        assert S.dtype == Q.dtype == np.float64
 
 
 class TestPosteriorSigma2Params:

@@ -17,11 +17,11 @@ from cpdetect.harness import (
     generate_trial_data,
     interpolate_at_alpha,
     make_detector,
-    run_trial,
     sample_t0,
     threshold_sweep,
     trimmed_mean_delay,
 )
+from oracles import run_trial
 
 FAST_SPEC = ScenarioSpec(mu0=0.0, mu1=1.0, sigma=1.0, rho=0.02, seed=0)
 

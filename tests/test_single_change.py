@@ -1,8 +1,8 @@
-"""Tests for the single-window changepoint posteriors.
+"""Tests for the single-window changepoint posteriors in tests/oracles.py.
 
-The reference oracle here is a brute-force re-derivation written directly
-from the split likelihood: evaluate every admissible split with per-point
-log densities and normalize.  The library functions must agree with it.
+The reference here is a brute-force re-derivation written directly from the
+split likelihood: evaluate every admissible split with per-point log
+densities and normalize.  The oracle functions must agree with it.
 """
 
 import math
@@ -13,12 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdetect.gaussian_stats import EstimationMode
-from cpdetect.single_change import (
-    ProbabilityVector,
-    SingleCpModel,
-    posterior_exactly_one,
-    posterior_zero_or_one,
-)
+from cpdetect.kernel import ProbabilityVector, SingleCpModel
+from oracles import posterior_exactly_one, posterior_zero_or_one
 
 
 def _log_normal_pdf(xs, mu, sigma):

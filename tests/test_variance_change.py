@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from cpdetect.gaussian_stats import EstimationMode, InsufficientDataError, PrefixStats
-from cpdetect.kernel import CppConfig, CppState, build_conditional_tables
-from cpdetect.single_change import SingleCpModel
-from cpdetect.variance_change import posterior_exactly_one_var
+from cpdetect.gaussian_stats import EstimationMode, PrefixStats
+from cpdetect.kernel import CppConfig, CppState, SingleCpModel, build_conditional_tables
+from oracles import InsufficientDataError, posterior_exactly_one_var
 
 
 class TestPosteriorExactlyOneVar:
