@@ -1,0 +1,149 @@
+"""Write one point of the benchmark trajectory, ``BENCH_<label>.json``.
+
+    python3 scripts/perf.py --label change
+    python3 scripts/perf.py --label parent --seconds 15 --out /some/dir
+
+Two measurements go into the file:
+
+* every workload that ``BENCHMARK.json`` lists, run once through
+  ``perfbench/run.py --trace 0``: its end-to-end metrics and check counts;
+* the per-mode ``observe`` table: ms per ``CppState.observe`` at window sizes
+  n = 100, 200, 400 and 800, each the median of the 30 steps around n of one
+  stream, for known sigma, estimated sigma, posterior sampling (known sigma),
+  ``variance_change`` (plug-in) and known sigma with ``window_cap=100``.
+
+Both run with one BLAS thread and pinned to the highest-numbered CPU the
+process may use, as ``perfbench/run.py`` does.  The file also records the
+environment and the git SHA of the checkout, with ``dirty`` set when the
+checkout has uncommitted changes.  The program measured is the ``src/`` next
+to this script's directory.
+"""
+
+import os
+
+# one BLAS thread, set before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from cpdetect import CppConfig, CppState, EstimationMode, SingleCpModel  # noqa: E402
+
+SIZES = (100, 200, 400, 800)
+#: steps per median; the steps that leave the window at n - 14 .. n + 15
+STEPS = 30
+
+_KNOWN = SingleCpModel(mu0=0.0, sigma=1.0)
+MODES = {
+    "known": CppConfig(model=_KNOWN),
+    "estimated": CppConfig(model=SingleCpModel()),
+    "sample": CppConfig(model=_KNOWN, estimation_mode=EstimationMode.POSTERIOR_SAMPLE),
+    "variance_change": CppConfig(model=SingleCpModel(), variance_change=True),
+    "capped": CppConfig(model=_KNOWN, window_cap=100),
+}
+
+
+def stream(n: int, seed: int = 0) -> np.ndarray:
+    """n points of N(0, 1) with mean shifts of +1.5 at n/3 and -1 at 2n/3."""
+    xs = np.random.default_rng(seed).standard_normal(n)
+    xs[n // 3 :] += 1.5
+    xs[2 * n // 3 :] -= 1.0
+    return xs
+
+
+def observe_table(sizes=SIZES, steps: int = STEPS) -> dict:
+    """{mode: {n: median ms per observe over the ``steps`` steps around n}}."""
+    half = steps // 2
+    xs = stream(max(sizes) + half)
+    table = {}
+    for mode, config in MODES.items():
+        state = CppState(config, rng=0)
+        ms = []
+        for x in xs:
+            start = time.perf_counter()
+            state.observe(x)
+            ms.append(1e3 * (time.perf_counter() - start))
+        # ms[k] is the step that leaves k + 1 points in the window
+        table[mode] = {str(n): statistics.median(ms[n - half : n + half]) for n in sizes}
+    return table
+
+
+def run_workload(name: str, seed: int, seconds: float) -> dict:
+    """The result line of one ``perfbench/run.py --trace 0`` run."""
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["exit_code"] = proc.returncode
+    return result
+
+
+def git(*args: str) -> str:
+    proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=ROOT)
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def environment(cpu: int) -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_threads": {v: os.environ[v] for v in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "pinned_cpu": cpu,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seconds", type=float, default=15.0, help="per workload")
+    p.add_argument("--out", type=Path, default=ROOT, help="directory of the file")
+    args = p.parse_args(argv)
+
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    workloads = {}
+    for name in names:
+        print(f"perf: workload {name}", file=sys.stderr)
+        workloads[name] = run_workload(name, args.seed, args.seconds)
+    print("perf: observe table", file=sys.stderr)
+    doc = {
+        "label": args.label,
+        "git_sha": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "environment": environment(cpu),
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "workloads": workloads,
+        "observe_ms": {"sizes": list(SIZES), "steps": STEPS, "modes": observe_table()},
+    }
+    path = args.out / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(path)
+    return 0 if all(w["exit_code"] == 0 for w in workloads.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -38,8 +38,12 @@ Per-step cost at n points, by mode:
   points whatever the split i, so with T = css(j, i) + css(i, n) and an
   unbinding variance floor, row j is proportional to
   (T / min_i T) ** (-(n - j) / 2).  css(j, i) is cached like E above, and
-  each step makes one fused pass over the upper triangle, a block of rows
-  at a time: O(n^2 / 2) time with one (n + 1) x (n + 1) array of weights.
+  each step makes one fused pass over the upper triangle, a block of B rows
+  at a time: O(n^2 / 2) time.  Each block runs in one contiguous B x n
+  scratch array that the cache keeps, O(B n) memory, with the cells at or
+  below the diagonal, which all lie in the block's leading square, masked
+  so that every log and exp sees a finite value; the finished rows are
+  written once into the step's fresh (n + 1) x (n + 1) array of weights.
   Rows where the floor binds take the full log-likelihood.  The p_last
   update is then one n x n matrix-vector product, plus the memo lookup.
 * Posterior sampling, or per-segment variances: the weights are the dense
@@ -226,34 +230,41 @@ _NO_ROWS = np.zeros(0, dtype=np.intp)
 _MIN_ROW_NORM = 1e-280
 
 
-def _grown(buf: np.ndarray, used: int, need: int, fill: float = 0.0) -> np.ndarray:
-    """``buf`` if it has ``need`` rows and columns; else a square buffer at
-    least twice as large, set to ``fill`` but for a copy of the leading
-    used x used block of ``buf``."""
+def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``buf`` if it has ``need`` rows and columns; else a zeroed square
+    buffer at least twice as large, but for a copy of the leading used x used
+    block of ``buf``."""
     if buf.shape[0] >= need:
         return buf
     cap = max(2 * buf.shape[0], need)
     # np.zeros maps pages lazily, so the part of a triangular buffer that is
-    # never written costs neither time nor memory
-    grown = np.zeros((cap, cap)) if fill == 0.0 else np.full((cap, cap), fill)
+    # never written, the lower triangle of every cache here, costs neither
+    # time nor memory
+    grown = np.zeros((cap, cap))
     grown[:used, :used] = buf[:used, :used]
     return grown
 
 
 class CssCache:
-    """C[j, i] = css(j, i) for 0 <= j < i, +inf elsewhere.
+    """C[j, i] = css(j, i) for 0 <= j < i, zero elsewhere.
 
     css(j, i) is the centered sum of squares of the segment (j, i].  Column
     i depends only on the points up to i, so the cache grows by one O(n)
-    column per observation.  The +inf below the diagonal masks it for
-    free: every entry there maps to a weight of 0.
+    column per observation.  The buffer is zeroed lazily, so the lower
+    triangle, which the fused pass masks, is never made resident.  The cache
+    also keeps the flat work buffer of that pass.
     """
 
-    fill = np.inf
-
     def __init__(self):
-        self._buf = np.full((8, 8), self.fill)
+        self._buf = np.zeros((8, 8))
         self._n = 0
+        self._scratch = np.empty(0)
+
+    def scratch(self, size: int) -> np.ndarray:
+        """A flat work buffer of at least ``size`` floats, kept between steps."""
+        if self._scratch.size < size:
+            self._scratch = np.empty(max(2 * self._scratch.size, size))
+        return self._scratch
 
     def _store(self, css: np.ndarray, out: np.ndarray) -> None:
         """Write the entries for ``css`` (not yet clamped at 0) into ``out``."""
@@ -262,7 +273,7 @@ class CssCache:
     def extend(self, S: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Add the columns up to the last prefix sum; return the (n+1, n+1) cache."""
         n = len(S) - 1
-        self._buf = _grown(self._buf, self._n + 1, n + 1, self.fill)
+        self._buf = _grown(self._buf, self._n + 1, n + 1)
         for i in range(self._n + 1, n + 1):
             # the segments (j, i] for j < i, holding i - j points
             s = S[i] - S[:i]
@@ -281,8 +292,6 @@ class ExpCssCache(CssCache):
     Every entry lies in [0, 1], and E[j, j + 1] is 1 up to rounding, so no
     row needs an offset against underflow.
     """
-
-    fill = 0.0
 
     def __init__(self, sigma: float):
         super().__init__()
@@ -457,12 +466,26 @@ def _fused_rows(n, lo, S, Q, css_post, config: CppConfig, floor, cache: CssCache
     weights = np.zeros((n + 1, n + 1))
     row_scale = np.zeros(n + 1)
     first = max(lo, 1)
-    for r0 in range(first, n - 2, _FUSED_BLOCK_ROWS):
-        r1 = min(r0 + _FUSED_BLOCK_ROWS, n - 2)
-        m = (n - pos[r0:r1]).astype(float)
-        dof = np.maximum(m - 2.0, 1.0)
-        w = weights[r0:r1, r0 + 1 : n]
-        np.add(css_pre[r0:r1, r0 + 1 : n], css_post[r0 + 1 : n], out=w)  # T, inf where i <= j
+    rows = _FUSED_BLOCK_ROWS
+    # A block of rows r0..r1-1 over the columns r0+1..n-1 runs in one
+    # contiguous scratch array.  Its cells with i <= j all lie in the leading
+    # square, strictly below that square's diagonal; they are set to +inf for
+    # the row min, to the row min for the divide, and to 0 for the row sum,
+    # so no non-finite value reaches a log or an exp.
+    below = np.tri(rows, rows, -1, dtype=bool)
+    flat = cache.scratch(rows * (n - first - 1))
+    m_all = (n - pos).astype(float)
+    dof_all = np.maximum(m_all - 2.0, 1.0)
+    for r0 in range(first, n - 2, rows):
+        r1 = min(r0 + rows, n - 2)
+        m, dof = m_all[r0:r1], dof_all[r0:r1]
+        w = flat[: (r1 - r0) * (n - r0 - 1)].reshape(r1 - r0, n - r0 - 1)
+        square, mask = w[:, : r1 - r0], below[: r1 - r0, : r1 - r0]
+        # T; a copy of the strided cache rows, then an add in place, is faster
+        # than one add that reads them
+        np.copyto(w, css_pre[r0:r1, r0 + 1 : n])
+        np.add(w, css_post[r0 + 1 : n], out=w)
+        np.copyto(square, np.inf, where=mask)
         t_min = w.min(axis=1)
         # rows where the floor binds take the full log-likelihood, stored
         # normalised with row_scale 1
@@ -474,14 +497,17 @@ def _fused_rows(n, lo, S, Q, css_post, config: CppConfig, floor, cache: CssCache
             )
             w[floored] = 1.0
             t_min[floored] = 1.0
+        np.copyto(square, t_min[:, None], where=mask)
         np.divide(w, t_min[:, None], out=w)
         np.log(w, out=w)
         w *= -0.5 * m[:, None]
         np.exp(w, out=w)
+        np.copyto(square, 0.0, where=mask)
         row_scale[r0:r1] = 1.0 / w.sum(axis=1)
         if exact_rows is not None:
             w[floored] = exact_rows
             row_scale[r0:r1][floored] = 1.0
+        weights[r0:r1, r0 + 1 : n] = w
     if n - 2 >= first:
         # the window of row n-2 holds two points, so its one split has weight 1
         weights[n - 2, n - 1] = 1.0

@@ -511,10 +511,10 @@ def reference_row(xs, j, sigma):
 
 
 def css_columns(xs):
-    """css(j, i) for 0 <= j < i <= n, one column at a time, +inf elsewhere."""
+    """css(j, i) for 0 <= j < i <= n, one column at a time, zero elsewhere."""
     S, Q = PrefixStats(xs).arrays()
     n = len(xs)
-    out = np.full((n + 1, n + 1), np.inf)
+    out = np.zeros((n + 1, n + 1))
     for i in range(1, n + 1):
         m = np.arange(i, 0, -1, dtype=float)
         s = S[i] - S[:i]
@@ -533,7 +533,7 @@ class TestCssCache:
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(whole.extend(S, Q), expected)
         np.testing.assert_array_equal(
-            ExpCssCache(0.7).extend(S, Q), np.exp(-expected / (2.0 * 0.7 * 0.7))
+            ExpCssCache(0.7).extend(S, Q), np.triu(np.exp(-expected / (2.0 * 0.7 * 0.7)), 1)
         )
 
 
@@ -713,6 +713,48 @@ class TestFusedTables:
         fused = run_series(xs, model=ESTIMATED, window_cap=25)
         dense = run_dense(xs, monkeypatch, model=ESTIMATED, window_cap=25)
         assert_states_close(fused, dense, atol=1e-12)
+
+
+class TestFusedBlockHeight:
+    """The fused tables do not depend on the rows per block, so the mask of
+    each block's diagonal square holds at block edges, in the last, partial
+    block and on floored rows inside a block.  With one row per block nothing
+    is masked.  The row sums add zero-padded spans of different lengths, so
+    the tables agree to rounding, not bit for bit."""
+
+    @pytest.mark.parametrize("case", ["floor-binding", "two-shift", "cap-25"])
+    def test_tables_do_not_depend_on_block_height(self, monkeypatch, case):
+        if case == "floor-binding":
+            xs = floor_binding_series()
+        else:
+            rng = np.random.default_rng(24)
+            xs = np.concatenate(
+                [rng.standard_normal(60), rng.standard_normal(50) + 1.5,
+                 rng.standard_normal(40) - 1.0]
+            )
+        # with a cap, lo moves, so every block starts somewhere new each step
+        state = CppState(CppConfig(model=ESTIMATED, window_cap=25 if case == "cap-25" else None))
+        heights = (1, 5, 63, 64)
+        caches = {rows: CssCache() for rows in heights}
+        p_second = np.random.default_rng(25).dirichlet(np.ones(len(xs) + 1))
+        for x in xs:
+            state.observe(x)
+            n, tables = state.n, {}
+            for rows in heights:
+                monkeypatch.setattr(kernel, "_FUSED_BLOCK_ROWS", rows)
+                tables[rows] = build_conditional_tables(
+                    state.prefix, state.config, state.rng, state._floor(),
+                    lo=state._active_lo(), cache=caches[rows],
+                )
+            ref = tables[1]
+            for rows in heights[1:]:
+                np.testing.assert_allclose(
+                    tables[rows].last_given_second, ref.last_given_second, rtol=1e-13, atol=0
+                )
+                np.testing.assert_allclose(
+                    tables[rows].last_from_second(p_second[: n + 1]),
+                    ref.last_from_second(p_second[: n + 1]), rtol=1e-13, atol=0,
+                )
 
 
 class TestTableViews:
