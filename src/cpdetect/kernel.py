@@ -237,9 +237,9 @@ def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
     if buf.shape[0] >= need:
         return buf
     cap = max(2 * buf.shape[0], need)
-    # np.zeros maps pages lazily, so the part of a triangular buffer that is
-    # never written, the lower triangle of every cache here, costs neither
-    # time nor memory
+    # np.zeros maps pages lazily, so the pages of a triangular buffer that are
+    # never written, such as those wholly below the diagonal of a cache, cost
+    # neither time nor memory
     grown = np.zeros((cap, cap))
     grown[:used, :used] = buf[:used, :used]
     return grown
@@ -250,9 +250,10 @@ class CssCache:
 
     css(j, i) is the centered sum of squares of the segment (j, i].  Column
     i depends only on the points up to i, so the cache grows by one O(n)
-    column per observation.  The buffer is zeroed lazily, so the lower
-    triangle, which the fused pass masks, is never made resident.  The cache
-    also keeps the flat work buffer of that pass.
+    column per observation.  The buffer is zeroed lazily and nothing writes
+    below the diagonal, which the fused pass masks, so the pages there need
+    not be made resident.  The cache also keeps the flat work buffer of that
+    pass.
     """
 
     def __init__(self):
