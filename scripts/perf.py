@@ -13,28 +13,31 @@ Two measurements go into the file:
   ``variance_change`` (plug-in) and known sigma with ``window_cap=100``.
 
 Both run with one BLAS thread and pinned to the highest-numbered CPU the
-process may use, as ``perfbench/run.py`` does.  The file also records the
-environment and the git SHA of the checkout, with ``dirty`` set when the
-checkout has uncommitted changes.  The program measured is the ``src/`` next
-to this script's directory.
+process may use, through ``perfbench/run.py``'s own ``pin_cpu``.  The file also
+records the environment, as ``perfbench/run.py`` reports it, and the git SHA of
+the checkout, with ``dirty`` set when the checkout has uncommitted changes.
+A workload run that crashes is recorded by its exit code alone, and the
+script then exits 1.  The program measured is the ``src/`` next to this
+script's directory.
 """
 
-import os
-
-# one BLAS thread, set before numpy is first imported
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+import argparse
+import importlib.util
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The benchmark's environment record and CPU pinning, loaded from its file.
+# Loading it sets one BLAS thread, so it comes before numpy is first imported.
+_SPEC = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+_bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_bench)
+environment, pin_cpu = _bench.environment, _bench.pin_cpu
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
@@ -85,32 +88,16 @@ def run_workload(name: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    result["exit_code"] = proc.returncode
-    return result
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {}  # the run crashed before it printed its result line
+    return {**result, "exit_code": proc.returncode}
 
 
 def git(*args: str) -> str:
     proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=ROOT)
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
-
-
-def environment(cpu: int) -> dict:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas.get('name')} {blas.get('version')}"
-    except (TypeError, KeyError):
-        blas = "unknown"
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": blas,
-        "blas_threads": {v: os.environ[v] for v in
-                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "pinned_cpu": cpu,
-    }
 
 
 def main(argv=None) -> int:
@@ -121,8 +108,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, default=ROOT, help="directory of the file")
     args = p.parse_args(argv)
 
-    cpu = max(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {cpu})
+    cpu = pin_cpu()
     names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     workloads = {}
     for name in names:

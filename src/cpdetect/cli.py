@@ -1,4 +1,13 @@
-"""Command-line front end: run detectors, synthesize data, run benchmarks."""
+"""Command-line front end: run detectors, synthesize data, run benchmarks.
+
+The options the subcommands share are declared once, on parent parsers:
+``--seed`` on all three (falling back to the ``CPP_SEED`` environment
+variable, then 0), and ``--mode``, ``--f`` and ``--nu-min`` on ``detect`` and
+``bench``.  A command reports bad input by raising: ``main`` turns a
+``ValueError`` or ``OSError`` (an unreadable series file, a config the kernel
+or harness rejects, an unwritable path) into ``error: <message>`` on stderr
+and exit code 2, the code argparse gives its own usage errors.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .datasets import SeriesParseError, TimeSeries, nile, read_series, write_series
+from .datasets import TimeSeries, nile, read_series, write_series
 from .gaussian_stats import EstimationMode
 from .glr import GlrConfig, GlrState, glr_decision
 from .harness import (
@@ -37,49 +46,41 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _mode(name: str) -> EstimationMode:
-    return EstimationMode.PLUG_IN if name == "plugin" else EstimationMode.POSTERIOR_SAMPLE
+def _write_rows(path, rows, fmt: str) -> None:
+    """Write a list of dict rows as CSV, headed by the first row's keys, or JSON."""
+    with open(path, "w", newline="") as fh:
+        if fmt == "json":
+            json.dump(rows, fh)
+        else:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 # ---------------------------------------------------------------- detect
 
 
 def cmd_detect(args) -> int:
-    try:
-        series = nile() if args.input == "nile" else read_series(args.input)
-    except (SeriesParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    seed = _resolve_seed(args.seed)
+    series = nile() if args.input == "nile" else read_series(args.input)
     trace = []
     if args.detector == "glr":
         if args.mu0 is None or args.sigma is None:
-            print("error: the GLR detector needs --mu0 and --sigma", file=sys.stderr)
-            return 2
-        try:
-            cfg = GlrConfig(mu0=args.mu0, sigma=args.sigma, nu_min=args.nu_min)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError("the GLR detector needs --mu0 and --sigma")
+        cfg = GlrConfig(mu0=args.mu0, sigma=args.sigma, nu_min=args.nu_min)
         state = GlrState()
         for x in series.values:
             state.observe(x)
             trace.append(glr_decision(state, cfg))
         report = {"detector": "glr", "g_trace": trace, "g_final": trace[-1]}
     else:
-        try:
-            config = CppConfig(
-                model=SingleCpModel(mu0=args.mu0, sigma=args.sigma, change_prior_f=args.f),
-                estimation_mode=_mode(args.mode),
-                variance_change=args.variance_change,
-                jacobi_iterations=args.jacobi_iterations,
-                window_cap=args.window_cap,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        state = CppState(config=config, rng=seed)
+        config = CppConfig(
+            model=SingleCpModel(mu0=args.mu0, sigma=args.sigma, change_prior_f=args.f),
+            estimation_mode=args.mode,
+            variance_change=args.variance_change,
+            jacobi_iterations=args.jacobi_iterations,
+            window_cap=args.window_cap,
+        )
+        state = CppState(config=config, rng=_resolve_seed(args.seed))
         for x in series.values:
             state.observe(x)
             trace.append(state.decision_g())
@@ -105,11 +106,6 @@ def cmd_detect(args) -> int:
 
     if args.format == "json":
         out = json.dumps(report)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(out)
-        else:
-            print(out)
     else:
         lines = [f"detector: {report['detector']}"]
         if report["detector"] == "cpp":
@@ -123,12 +119,13 @@ def cmd_detect(args) -> int:
             ]
         lines.append(f"final decision g: {_fmt(report['g_final'])}")
         lines.append("g trace: " + " ".join(_fmt(g) for g in report["g_trace"]))
-        text = "\n".join(lines)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        out = "\n".join(lines)
+    if args.output:
+        # a JSON report file ends without a newline; a text one ends with one
+        with open(args.output, "w") as fh:
+            fh.write(out if args.format == "json" else out + "\n")
+    else:
+        print(out)
     return 0
 
 
@@ -174,23 +171,16 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- bench
 
 
-def _write_sweep_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["detector", "h", "alpha", "mean_delay", "n_trials", "n_oob"])
-        for row in rows:
-            writer.writerow(
-                [row.detector, row.h, row.alpha, row.mean_delay, row.n_trials, row.n_oob]
-            )
-
-
 def cmd_bench(args) -> int:
+    if args.h and not args.detector:
+        # CPP thresholds are probabilities and GLR ones log-likelihood ratios
+        raise ValueError("--h needs --detector: one threshold grid cannot serve both detectors")
     spec = ScenarioSpec(
         mu0=args.mu0, mu1=args.mu1, sigma=args.sigma, rho=args.rho,
         seed=_resolve_seed(args.seed),
     )
     params = DetectorParams(
-        change_prior_f=args.f, nu_min=args.nu_min, estimation_mode=_mode(args.mode)
+        change_prior_f=args.f, nu_min=args.nu_min, estimation_mode=args.mode
     )
 
     if args.sigma_sweep:
@@ -198,16 +188,8 @@ def cmd_bench(args) -> int:
         rows = sigma_sweep(spec, sigmas, n_trials=args.trials, params=params,
                            jobs=args.jobs)
         path = f"{args.out}_sigma.{args.format}"
-        if args.format == "json":
-            with open(path, "w") as fh:
-                json.dump(
-                    [{"sigma": s, "cpp_delay": c, "glr_delay": g} for s, c, g in rows], fh
-                )
-        else:
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["sigma", "cpp_delay", "glr_delay"])
-                writer.writerows(rows)
+        _write_rows(path, [{"sigma": s, "cpp_delay": c, "glr_delay": g} for s, c, g in rows],
+                    args.format)
         print(f"wrote {path}")
         return 0
 
@@ -218,17 +200,11 @@ def cmd_bench(args) -> int:
     thresholds = [float(h) for h in args.h.split(",")] if args.h else None
     sweeps = {}
     for kind in kinds:
-        sweep = threshold_sweep(
-            spec, kind, thresholds=thresholds if args.detector else None,
-            n_trials=args.trials, params=params, jobs=args.jobs,
-        )
+        sweep = threshold_sweep(spec, kind, thresholds=thresholds, n_trials=args.trials,
+                                params=params, jobs=args.jobs)
         sweeps[kind] = sweep
         path = f"{args.out}_{kind.value}.{args.format}"
-        if args.format == "json":
-            with open(path, "w") as fh:
-                json.dump([asdict(row) for row in sweep.rows], fh)
-        else:
-            _write_sweep_csv(path, sweep.rows)
+        _write_rows(path, [asdict(row) for row in sweep.rows], args.format)
         print(f"wrote {path}")
 
     if len(sweeps) == 2:
@@ -260,22 +236,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Changepoint probabilities, a GLR baseline, and a "
         "delay/false-alarm benchmark.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="global seed (falls back to env CPP_SEED, then 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("detect", help="run a detector over a series file")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="seed (falls back to env CPP_SEED, then 0)")
+    detector = argparse.ArgumentParser(add_help=False)
+    detector.add_argument("--mode", type=EstimationMode, default=EstimationMode.PLUG_IN,
+                          metavar="{plugin,sample}")
+    detector.add_argument("--f", type=float, default=0.005,
+                          help="prior per-step change probability")
+    detector.add_argument("--nu-min", type=float, default=0.5)
+
+    p = sub.add_parser("detect", parents=[seeded, detector],
+                       help="run a detector over a series file")
     p.add_argument("input", help="CSV series file, or 'nile' for the bundled data")
     p.add_argument("--detector", choices=["cpp", "glr"], default="cpp")
-    p.add_argument("--mode", choices=["plugin", "sample"], default="plugin")
     p.add_argument("--variance-change", action="store_true")
     p.add_argument("--mu0", type=float, default=None,
                    help="known pre-change mean (omit to estimate)")
     p.add_argument("--sigma", type=float, default=None,
                    help="known std dev (omit to estimate)")
-    p.add_argument("--f", type=float, default=0.005,
-                   help="prior per-step change probability")
-    p.add_argument("--nu-min", type=float, default=0.5)
     p.add_argument("--jacobi-iterations", type=int, default=1)
     p.add_argument("--window-cap", type=int, default=None,
                    help="freeze hypotheses older than this many points; once it binds, "
@@ -283,41 +264,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--output", default=None, help="write the report here")
     p.add_argument("--snapshot", default=None, help="write a state snapshot (JSON)")
-    p.add_argument("--seed", type=int, default=None, dest="seed")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("synth", help="generate a synthetic piecewise-Gaussian series")
+    p = sub.add_parser("synth", parents=[seeded],
+                       help="generate a synthetic piecewise-Gaussian series")
     p.add_argument("--segment", action="append", required=True, type=_parse_segment,
                    metavar="LENGTH:MU:SIGMA")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, dest="seed")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("bench", help="delay vs false-alarm benchmark sweeps")
+    p = sub.add_parser("bench", parents=[seeded, detector],
+                       help="delay vs false-alarm benchmark sweeps")
     p.add_argument("--detector", choices=["cpp", "glr"], default=None,
                    help="default: both, plus a comparison file")
-    p.add_argument("--mode", choices=["plugin", "sample"], default="plugin")
     p.add_argument("--mu0", type=float, default=0.0)
     p.add_argument("--mu1", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--rho", type=float, default=0.02)
-    p.add_argument("--f", type=float, default=0.005)
-    p.add_argument("--nu-min", type=float, default=0.5)
-    p.add_argument("--h", default=None, help="comma-separated threshold grid")
+    p.add_argument("--h", default=None,
+                   help="comma-separated threshold grid; needs --detector")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--sigma-sweep", default=None,
                    help="comma-separated sigmas; emit delay-vs-sigma instead")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--seed", type=int, default=None, dest="seed")
     p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

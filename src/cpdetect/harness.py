@@ -20,6 +20,7 @@ import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -206,11 +207,6 @@ def trimmed_mean_delay(records, trim_fraction: float = DEFAULT_TRIM) -> float:
     return float(kept.mean())
 
 
-def _worker(args):
-    spec, kind, params, thresholds, idx = args
-    return idx, _trial_alarm_times(spec, kind, params, thresholds, idx)
-
-
 def threshold_sweep(
     spec: ScenarioSpec,
     detector_kind: DetectorKind,
@@ -225,8 +221,11 @@ def threshold_sweep(
     A trial's data stream depends only on (spec.seed, trial index), so
     sweeps for different detector kinds are data-matched.  Rows whose
     out-of-bounds count exceeds the trim budget, or with fewer than 20
-    surviving trials, get a NaN mean delay.
+    surviving trials, get a NaN mean delay.  ``jobs > 1`` runs the trials in
+    that many worker processes; ``jobs=1`` starts none.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
     if thresholds is None:
         thresholds = (
             CPP_DEFAULT_THRESHOLDS if detector_kind is DetectorKind.CPP
@@ -236,16 +235,12 @@ def threshold_sweep(
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
 
-    tasks = [(spec, detector_kind, params, thresholds, i) for i in range(n_trials)]
+    trial = partial(_trial_alarm_times, spec, detector_kind, params, thresholds)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_worker, tasks, chunksize=8))
-        outcomes = [r for _, r in results]
+            outcomes = list(pool.map(trial, range(n_trials), chunksize=8))
     else:
-        outcomes = [
-            _trial_alarm_times(spec, detector_kind, params, thresholds, i)
-            for i in range(n_trials)
-        ]
+        outcomes = list(map(trial, range(n_trials)))
 
     rows = []
     for hi, h in enumerate(thresholds):

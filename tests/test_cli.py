@@ -144,6 +144,14 @@ class TestDetectCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_overflowing_series_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("value\n1.0\n1e200\n2.0\n")
+        rc = main(["detect", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflow" in err
+
     def test_constant_file_has_low_change_mass(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("value\n" + "\n".join(["1.0"] * 60) + "\n")
@@ -203,6 +211,36 @@ class TestDetectCommand:
             results[label] = out.read_bytes()
         assert results["a"] == results["b"]
         assert results["a"] != results["c"]
+
+
+class TestSharedOptions:
+    def test_seed_before_the_subcommand_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "5", "synth", "--segment", "10:0:1", "--out",
+                  str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "synth", "bench"])
+    def test_every_command_takes_seed(self, command):
+        from cpdetect.cli import build_parser
+
+        extra = {"detect": ["nile"], "synth": ["--segment", "5:0:1", "--out", "x"],
+                 "bench": ["--out", "x"]}[command]
+        args = build_parser().parse_args([command, *extra, "--seed", "7"])
+        assert args.seed == 7
+
+    def test_mode_parses_to_estimation_mode(self):
+        from cpdetect.cli import build_parser
+        from cpdetect.gaussian_stats import EstimationMode
+
+        parser = build_parser()
+        assert parser.parse_args(["detect", "nile"]).mode is EstimationMode.PLUG_IN
+        args = parser.parse_args(["bench", "--out", "x", "--mode", "sample"])
+        assert args.mode is EstimationMode.POSTERIOR_SAMPLE
+        with pytest.raises(SystemExit):
+            parser.parse_args(["detect", "nile", "--mode", "exact"])
 
 
 class TestSynthCommand:
@@ -271,3 +309,27 @@ class TestBenchCommand:
         assert rc == 0
         rows = json.loads((tmp_path / "solo_glr.json").read_text())
         assert [row["h"] for row in rows] == [3.0, 6.0]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rho", "2"], "rho"),
+            (["--sigma-sweep", "1,x"], "'x'"),
+            (["--trials", "0"], "n_trials"),
+            (["--h", "0.5,0.9"], "--detector"),
+        ],
+        ids=["rho", "sigma-sweep", "zero-trials", "h-without-detector"],
+    )
+    def test_bad_bench_input_is_usage_error(self, tmp_path, capsys, flags, message):
+        prefix = tmp_path / "bad"
+        rc = main(["bench", "--trials", "25", *flags, "--out", str(prefix)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        rc = main(["bench", "--detector", "glr", "--trials", "25", "--h", "3",
+                   "--out", str(tmp_path / "missing" / "bench")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")

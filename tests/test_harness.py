@@ -197,6 +197,11 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[], n_trials=10)
 
+    @pytest.mark.parametrize("n_trials", [0, -1])
+    def test_no_trials_rejected(self, n_trials):
+        with pytest.raises(ValueError, match="n_trials"):
+            threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[3.0], n_trials=n_trials)
+
     def test_parallel_jobs_match_serial(self):
         serial = threshold_sweep(
             FAST_SPEC, DetectorKind.GLR, thresholds=[4.0], n_trials=40, jobs=1

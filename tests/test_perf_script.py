@@ -2,21 +2,46 @@
 a tiny size; the perfbench workloads it wraps have their own smoke test)."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "perf.py"
 
 
-def test_observe_table_covers_every_mode(monkeypatch):
+@pytest.fixture
+def perf(monkeypatch):
     # the script sets the BLAS thread variables on import; monkeypatch restores them
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     spec = importlib.util.spec_from_file_location("perf_script", SCRIPT)
-    perf = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(perf)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_observe_table_covers_every_mode(perf):
     table = perf.observe_table(sizes=(10, 20), steps=4)
     assert set(table) == {"known", "estimated", "sample", "variance_change", "capped"}
     for row in table.values():
         assert set(row) == {"10", "20"}
         assert all(ms > 0 for ms in row.values())
+
+
+def test_crashed_workload_run_is_recorded_by_exit_code(perf, monkeypatch, tmp_path):
+    # a run that dies after its environment line leaves no result line to parse
+    def crashed(cmd, **kwargs):
+        stdout = 'perfbench workload=x\nenv {"python": "3"}\n'
+        return subprocess.CompletedProcess(cmd, 1, stdout=stdout, stderr="Traceback ...\n")
+
+    monkeypatch.setattr(perf.subprocess, "run", crashed)
+    monkeypatch.setattr(perf, "pin_cpu", lambda: 0)
+    monkeypatch.setattr(perf, "observe_table", lambda: {})
+    assert perf.run_workload("mc-sweep", 0, 0.0) == {"exit_code": 1}
+
+    assert perf.main(["--label", "crash", "--seconds", "0", "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "BENCH_crash.json").read_text())
+    assert doc["workloads"]
+    assert all(w == {"exit_code": 1} for w in doc["workloads"].values())
