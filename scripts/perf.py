@@ -8,9 +8,10 @@ Two measurements go into the file:
 * every workload that ``BENCHMARK.json`` lists, run once through
   ``perfbench/run.py --trace 0``: its end-to-end metrics and check counts;
 * the per-mode ``observe`` table: ms per ``CppState.observe`` at window sizes
-  n = 100, 200, 400 and 800, each the median of the 30 steps around n of one
-  stream, for known sigma, estimated sigma, posterior sampling (known sigma),
-  ``variance_change`` (plug-in) and known sigma with ``window_cap=100``.
+  n = 25, 50, 100, 200, 400 and 800, each the median of the 30 steps around
+  n of one stream, for known sigma, estimated sigma, posterior sampling (known
+  sigma), ``variance_change`` (plug-in) and known sigma with
+  ``window_cap=100``.  The two small sizes show the fixed cost of a step.
 
 Both run with one BLAS thread and pinned to the highest-numbered CPU the
 process may use, through ``perfbench/run.py``'s own ``pin_cpu``.  The file also
@@ -44,7 +45,7 @@ import numpy as np  # noqa: E402
 
 from cpdetect import CppConfig, CppState, EstimationMode, SingleCpModel  # noqa: E402
 
-SIZES = (100, 200, 400, 800)
+SIZES = (25, 50, 100, 200, 400, 800)
 #: steps per median; the steps that leave the window at n - 14 .. n + 15
 STEPS = 30
 

@@ -188,8 +188,7 @@ def cmd_bench(args) -> int:
         rows = sigma_sweep(spec, sigmas, n_trials=args.trials, params=params,
                            jobs=args.jobs)
         path = f"{args.out}_sigma.{args.format}"
-        _write_rows(path, [{"sigma": s, "cpp_delay": c, "glr_delay": g} for s, c, g in rows],
-                    args.format)
+        _write_rows(path, [asdict(row) for row in rows], args.format)
         print(f"wrote {path}")
         return 0
 
@@ -294,7 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    option = next(iter(sys.argv[1:] if argv is None else argv), "").split("=")[0]
+    if option in ("--seed", "--mode", "--f", "--nu-min"):  # the subcommands' shared options
+        parser.error(f"{option} goes after the subcommand, as in 'cpdetect bench {option} ...'")
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -286,6 +286,20 @@ def interpolate_at_alpha(sweep: SweepResult, alpha: float = DEFAULT_ALPHA) -> fl
     return float(np.interp(alpha, alphas, [d for _, d in pts]))
 
 
+@dataclass(frozen=True)
+class SigmaRow:
+    """Both detectors' delays at a fixed alpha for one noise level.  A delay
+    that cannot be interpolated is NaN, and ``note`` says why."""
+
+    sigma: float
+    cpp_delay: float
+    glr_delay: float
+    note: str = ""
+
+    def __iter__(self):  # unpacks as (sigma, cpp_delay, glr_delay)
+        return iter((self.sigma, self.cpp_delay, self.glr_delay))
+
+
 def sigma_sweep(
     base_spec: ScenarioSpec,
     sigmas,
@@ -293,19 +307,18 @@ def sigma_sweep(
     alpha: float = DEFAULT_ALPHA,
     params: DetectorParams = DetectorParams(),
     jobs: int = 1,
-):
-    """Delay of both detectors at a fixed alpha, across noise levels.
-
-    Returns a list of (sigma, cpp_delay, glr_delay) tuples.
-    """
+) -> list[SigmaRow]:
+    """Delay of both detectors at a fixed alpha, across noise levels."""
     out = []
     for sigma in sigmas:
         spec = replace(base_spec, sigma=float(sigma))
-        cpp = threshold_sweep(spec, DetectorKind.CPP, n_trials=n_trials,
-                              params=params, jobs=jobs)
-        glr = threshold_sweep(spec, DetectorKind.GLR, n_trials=n_trials,
-                              params=params, jobs=jobs)
-        out.append(
-            (float(sigma), interpolate_at_alpha(cpp, alpha), interpolate_at_alpha(glr, alpha))
-        )
+        delays, notes = [], []
+        for kind in (DetectorKind.CPP, DetectorKind.GLR):
+            sweep = threshold_sweep(spec, kind, n_trials=n_trials, params=params, jobs=jobs)
+            try:
+                delays.append(interpolate_at_alpha(sweep, alpha))
+            except ValueError as exc:
+                delays.append(math.nan)
+                notes.append(f"{kind.value}: {exc}")
+        out.append(SigmaRow(float(sigma), *delays, note="; ".join(notes)))
     return out

@@ -50,9 +50,14 @@ Per-step cost at n points, by mode:
   tables, rebuilt every step, O(n^2) time spread over about fifteen
   temporary (n + 1) x (n + 1) arrays.
 
-In every mode the zero-or-one posterior P(i | fewer than two) reuses the
-vector css(i, n) that the table build computes, and evaluates only the
-splits of the window (lo, n]: O(n - lo) per step.
+Each step computes css(i, n), the post-change segment of every split,
+once: on the factored and fused paths it is the newest cache column, kept
+whole before the factored cache takes its exp, and the dense path computes
+it from the prefix sums.  The zero-or-one posterior P(i | fewer than two)
+reads that vector and evaluates only the splits of the window (lo, n]:
+O(n - lo) per step.  While the window starts at 0, its pre-change segments
+are the (0, i], whose terms depend on i alone; :class:`ZeroStartTerms`
+carries them, each computed once, when a step first reaches i.
 
 ``window_cap`` freezes hypotheses older than the cap; it does not reduce
 any of these costs, and a binding cap does not conserve probability today.
@@ -208,7 +213,8 @@ class ConditionalTables:
 
     def last_from_second(self, p_second: np.ndarray) -> np.ndarray:
         """sum_j p_second[j] * last_given_second[j], as one matvec."""
-        out = ((p_second * self.row_scale) @ self.weights) * self.post
+        out = (p_second * self.row_scale) @ self.weights
+        out *= self.post
         if self.exact.size:
             out += p_second[self.exact] @ self.exact_rows
         return out
@@ -252,14 +258,16 @@ class CssCache:
     i depends only on the points up to i, so the cache grows by one O(n)
     column per observation.  The buffer is zeroed lazily and nothing writes
     below the diagonal, which the fused pass masks, so the pages there need
-    not be made resident.  The cache also keeps the flat work buffer of that
-    pass.
+    not be made resident.  The newest column, css(i, n) for i = 0..n, which
+    the table build and the zero-or-one posterior read, is also kept whole as
+    ``css_post``, and so is the flat work buffer of the fused pass.
     """
 
     def __init__(self):
         self._buf = np.zeros((8, 8))
         self._n = 0
         self._scratch = np.empty(0)
+        self.css_post = np.zeros(1)
 
     def scratch(self, size: int) -> np.ndarray:
         """A flat work buffer of at least ``size`` floats, kept between steps."""
@@ -267,22 +275,24 @@ class CssCache:
             self._scratch = np.empty(max(2 * self._scratch.size, size))
         return self._scratch
 
-    def _store(self, css: np.ndarray, out: np.ndarray) -> None:
-        """Write the entries for ``css`` (not yet clamped at 0) into ``out``."""
-        np.maximum(css, 0.0, out=out)
+    def _store(self, css: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
+        """Write the entries for ``css`` into ``out``; ``work`` is scratch of its size."""
+        out[:] = css
 
     def extend(self, S: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Add the columns up to the last prefix sum; return the (n+1, n+1) cache."""
         n = len(S) - 1
         self._buf = _grown(self._buf, self._n + 1, n + 1)
         for i in range(self._n + 1, n + 1):
-            # the segments (j, i] for j < i, holding i - j points
+            # the segments (j, i] for j < i, holding i - j points, and (i, i]
             s = S[i] - S[:i]
             s *= s
             s /= np.arange(float(i), 0.0, -1.0)
-            css = Q[i] - Q[:i]
+            self.css_post = np.zeros(i + 1)
+            css = np.subtract(Q[i], Q[:i], out=self.css_post[:i])
             css -= s
-            self._store(css, self._buf[:i, i])
+            np.maximum(css, 0.0, out=css)
+            self._store(css, s, self._buf[:i, i])
         self._n = n
         return self._buf[: n + 1, : n + 1]
 
@@ -298,10 +308,32 @@ class ExpCssCache(CssCache):
         super().__init__()
         self._two_sigma2 = 2.0 * (sigma * sigma)
 
-    def _store(self, css: np.ndarray, out: np.ndarray) -> None:
-        np.maximum(css, 0.0, out=css)
-        np.divide(css, -self._two_sigma2, out=css)
-        np.exp(css, out=out)
+    def _store(self, css: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
+        np.divide(css, -self._two_sigma2, out=work)
+        np.exp(work, out=out)
+
+
+class ZeroStartTerms:
+    """Rows m, css and, with a known mu0, the squared deviations from mu0 of
+    the segments (0, i], i = 0..n: the pre-change terms of a zero-or-one
+    posterior on a window that starts at 0.  Entry i depends on i alone, so
+    it is computed once, with the scalar form of the array arithmetic."""
+
+    def __init__(self, mu0: float | None):
+        self._mu0, self._terms, self._n = mu0, np.zeros((3, 16)), 0
+
+    def extend(self, S: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """Fill the entries up to the last prefix sum; return rows 0..n."""
+        n = len(S) - 1
+        while n >= self._terms.shape[1]:
+            self._terms = np.concatenate([self._terms, np.zeros_like(self._terms)], axis=1)
+        for i in range(self._n + 1, n + 1):
+            s, m = float(S[i]), float(i)  # S[0] and Q[0] are 0
+            d = 0.0 if self._mu0 is None else self._mu0 - s / m
+            css = max(float(Q[i]) - s * s / m, 0.0)
+            self._terms[:, i] = m, css, css + m * (d * d)
+        self._n = n
+        return self._terms[:, : n + 1]
 
 
 def _new_cache(config: CppConfig) -> CssCache | None:
@@ -341,6 +373,7 @@ def build_conditional_tables(
     lo: int = 0,
     cache: CssCache | None = None,
     memo: np.ndarray | None = None,
+    zero_terms: ZeroStartTerms | None = None,
 ) -> ConditionalTables:
     """Conditional changepoint posteriors for every suffix window at once.
 
@@ -349,16 +382,17 @@ def build_conditional_tables(
     floor, which a known-sigma config never reads.  A plug-in config
     without per-segment variances extends ``cache`` (a fresh one if None)
     to the prefix.  ``memo`` is the history of p_last rows from steps
-    1..n-1 (empty if None).
+    1..n-1 (empty if None).  With lo = 0 the zero-or-one posterior reads
+    the terms of its segments (0, i] from ``zero_terms`` when given.
     """
     n = len(prefix)
     S, Q = prefix.arrays()
-    # post-change segment (i, n] of every split i; the H0 posterior reads it too
-    m_post = np.arange(float(n), -1.0, -1.0)
-    s_post = S[n] - S
-    css_post = np.maximum((Q[n] - Q) - s_post * s_post / np.maximum(m_post, 1.0), 0.0)
     path = _table_path(config)
     if path == "dense":
+        # post-change segment (i, n] of every split i; the H0 posterior reads it too
+        m_post = np.arange(float(n), -1.0, -1.0)
+        s_post = S[n] - S
+        css_post = np.maximum((Q[n] - Q) - s_post * s_post / np.maximum(m_post, 1.0), 0.0)
         weights = _formula_rows(np.arange(n + 1), slice(None), n, lo, S, Q, css_post, config,
                                 rng, floor)
         post = row_scale = np.ones(n + 1)
@@ -367,10 +401,9 @@ def build_conditional_tables(
         if cache is None:
             cache = _new_cache(config)
         build = _factored_rows if path == "factored" else _fused_rows
-        weights, post, row_scale, exact, exact_rows = build(
-            n, lo, S, Q, css_post, config, floor, cache
-        )
-    c0 = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor)
+        weights, post, row_scale, exact, exact_rows = build(n, lo, S, Q, config, floor, cache)
+        css_post = cache.css_post
+    c0 = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor, zero_terms)
     memo = np.zeros((0, 0)) if memo is None else memo
     return ConditionalTables(n, c0, weights, post, row_scale, memo, exact, exact_rows)
 
@@ -384,8 +417,6 @@ def _formula_rows(rows, cols, n, lo, S, Q, css_post, config: CppConfig, rng, flo
     so the dense build, which asks for every row and column, draws
     (n+1) x (n+1).
     """
-    if not rows.size:
-        return np.zeros((0, n + 1))[:, cols]
     model = config.model
     sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
     J = rows[:, None]
@@ -428,25 +459,27 @@ def _formula_rows(rows, cols, n, lo, S, Q, css_post, config: CppConfig, rng, flo
     return _rowwise_softmax(logw, valid)
 
 
-def _factored_rows(n, lo, S, Q, css_post, config: CppConfig, floor, cache: ExpCssCache):
+def _factored_rows(n, lo, S, Q, config: CppConfig, floor, cache: ExpCssCache):
     two_sigma2 = 2.0 * (config.model.sigma * config.model.sigma)
     weights = cache.extend(S, Q)
+    css_post = cache.css_post
 
     # rows j in [first, n-2] use the columns (j, n-1]
     first = max(lo, 1)
     post = np.zeros(n + 1)
     row_scale = np.zeros(n + 1)
-    rows = np.arange(first, n - 1)
-    exact = rows
-    if rows.size:
+    exact, exact_rows = _NO_ROWS, np.zeros((0, n + 1))
+    if first < n - 1:
         b = css_post[first + 1 : n] / -two_sigma2
         b -= b.max()
         np.exp(b, out=post[first + 1 : n])
         z = weights[first : n - 1] @ post
         ok = z >= _MIN_ROW_NORM
         np.divide(1.0, z, out=row_scale[first : n - 1], where=ok)
-        exact = rows[~ok]
-    exact_rows = _formula_rows(exact, slice(None), n, lo, S, Q, css_post, config, None, floor)
+        if not ok.all():
+            exact = np.arange(first, n - 1)[~ok]
+            exact_rows = _formula_rows(exact, slice(None), n, lo, S, Q, css_post, config, None,
+                                       floor)
     return weights, post, row_scale, exact, exact_rows
 
 
@@ -456,8 +489,9 @@ def _factored_rows(n, lo, S, Q, css_post, config: CppConfig, floor, cache: ExpCs
 _FUSED_BLOCK_ROWS = 64
 
 
-def _fused_rows(n, lo, S, Q, css_post, config: CppConfig, floor, cache: CssCache):
+def _fused_rows(n, lo, S, Q, config: CppConfig, floor, cache: CssCache):
     css_pre = cache.extend(S, Q)
+    css_post = cache.css_post
     pos = np.arange(n + 1)
 
     # rows j in [max(lo, 1), n-2] use the columns (j, n-1].  Row j's window (j, n]
@@ -543,15 +577,16 @@ def _loglik_two_variances(m_pre, css_pre, m_post, css_post, floor, draws=None):
     return seg_ll(m_pre, css_pre, chi_pre, z_pre) + seg_ll(m_post, css_post, chi_post, z_post)
 
 
-def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor):
+def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor, zero_terms=None):
     """Zero-or-one-changepoint posterior on the window (lo, n].
 
     Only the admissible splits i are evaluated: lo < i <= n - 1, or, with
     per-segment variances, the splits that leave each segment two points.
-    ``css_post[i]`` is css(i, n), which the table build already has, so a
+    ``css_post[i]`` is css(i, n), which the table build already has, and
+    with lo = 0 ``zero_terms``, when given, has the terms of (0, i], so a
     step costs O(n - lo).  Posterior sampling draws one value per position
     0..n and keeps the splits, so the generator advances as it would over
-    the whole series.
+    the whole series; it adds s2 times a squared normal draw to a css.
     """
     model = config.model
     sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
@@ -562,24 +597,18 @@ def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor):
 
     # splits a <= i < b: the segments (lo, i] and (i, n] hold m0 and m1 points
     a, b = (lo + 2, n - 1) if config.variance_change else (lo + 1, n)
-    m0 = np.arange(float(a - lo), float(b - lo))
-    s0 = S[a:b] - S[lo]
-    css0 = np.maximum((Q[a:b] - Q[lo]) - s0 * s0 / m0, 0.0)
+    if lo == 0 and zero_terms is not None:
+        m0, css0, quad0 = zero_terms.extend(S, Q)[:, a:b]
+    else:
+        m0 = np.arange(float(a - lo), float(b - lo))
+        s0 = S[a:b] - S[lo]
+        css0 = np.maximum((Q[a:b] - Q[lo]) - s0 * s0 / m0, 0.0)
+        quad0 = None if model.mu0 is None else css0 + m0 * (model.mu0 - s0 / m0) ** 2
     css1 = css_post[a:b]
     # whole-window stats for the no-change hypothesis
     w_s = S[n] - S[lo]
     w_css = max((Q[n] - Q[lo]) - w_s * w_s / m_win, 0.0)
     dof_w = max(m_win - 1.0, 1.0)
-
-    def window_s2():
-        return max(w_css / rng.chisquare(dof_w) if sample else w_css / dof_w, floor)
-
-    # posterior sampling adds s2 times a squared normal draw to a css
-    def window_quad(s2w):
-        return w_css + s2w * rng.standard_normal() ** 2 if sample else w_css
-
-    def split_quad(css, s2):  # one draw per position 0..n, kept on the splits
-        return css + s2 * rng.standard_normal(n + 1)[a:b] ** 2 if sample else css
 
     if config.variance_change:
         draws = None
@@ -590,23 +619,24 @@ def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor):
             )
             draws = tuple(d[a:b] for d in draws)
         split_ll = _loglik_two_variances(m0, css0, m_win - m0, css1, floor, draws)
-        s2w = window_s2()
-        quad_w = window_quad(s2w)
+    elif model.sigma is not None:
+        s2 = model.sigma * model.sigma
     else:
-        if model.sigma is not None:
-            s2 = s2w = model.sigma * model.sigma
-        else:
-            dof = max(m_win - 2.0, 1.0)
-            chi = np.maximum(rng.chisquare(dof, n + 1)[a:b], 1e-300) if sample else dof
-            s2 = np.maximum((css0 + css1) / chi, floor)
-            s2w = window_s2()
-        if model.mu0 is not None:
-            quad0 = css0 + m0 * (model.mu0 - s0 / m0) ** 2
-            quad_w = w_css + m_win * (model.mu0 - w_s / m_win) ** 2
-        else:
-            quad0 = split_quad(css0, s2)
-            quad_w = window_quad(s2w)
-        quad1 = split_quad(css1, s2)
+        dof = max(m_win - 2.0, 1.0)
+        chi = np.maximum(rng.chisquare(dof, n + 1)[a:b], 1e-300) if sample else dof
+        s2 = np.maximum((css0 + css1) / chi, floor)
+    s2w = s2 if model.sigma is not None else max(
+        w_css / rng.chisquare(dof_w) if sample else w_css / dof_w, floor)
+    if model.mu0 is not None:
+        quad_w = w_css + m_win * (model.mu0 - w_s / m_win) ** 2
+    elif sample:
+        if not config.variance_change:
+            quad0 = css0 + s2 * rng.standard_normal(n + 1)[a:b] ** 2
+        quad_w = w_css + s2w * rng.standard_normal() ** 2
+    else:
+        quad0, quad_w = css0, w_css
+    if not config.variance_change:
+        quad1 = css1 + s2 * rng.standard_normal(n + 1)[a:b] ** 2 if sample else css1
         split_ll = _gauss_loglik(m_win, np.log(s2), s2, quad0 + quad1)
     h0_ll = _gauss_loglik(m_win, math.log(s2w), s2w, quad_w)
 
@@ -639,9 +669,10 @@ def jacobi_step(
             f"match tables for n={tables.n}"
         )
     p_hzero = _unit(1.0 - float(p_second.sum()))
-    new_last = tables.last_given_hzero * p_hzero + tables.last_from_second(p_second)
+    new_last = tables.last_from_second(p_second)
+    new_last += tables.last_given_hzero * p_hzero
     k = tables.memo.shape[0]
-    new_second = np.zeros_like(p_second)
+    new_second = np.zeros(tables.n + 1)
     if k > 0:
         new_second[: tables.memo.shape[1]] = tables.memo.T @ p_last[:k]
     _clamp_unit(new_last)
@@ -748,9 +779,10 @@ class CppState:
         self.p_last = np.zeros(1)
         self.p_second = np.zeros(1)
         self.p_hzero = 1.0
-        # not serialized: it is a function of the series, and the first
-        # observe after a restore refills it column by column
+        # not serialized: they are functions of the series, and the first
+        # observe after a restore refills them
         self._cache = _new_cache(self.config)
+        self._zero_terms = ZeroStartTerms(self.config.model.mu0)
 
     # -- core update ---------------------------------------------------
 
@@ -759,14 +791,11 @@ class CppState:
         return len(self.series)
 
     def _floor(self) -> float:
-        """The variance floor for the sample variance of the series."""
+        """The variance floor for the sample variance of the series, whose
+        css(0, n) the zero-or-one posterior's carried terms hold."""
         n = self.n
-        gv = None
-        if n >= 2:
-            S, Q = self.prefix.arrays()
-            total = float(S[n])
-            gv = max(0.0, float(Q[n]) - total * total / n) / (n - 1)
-        return variance_floor(gv)
+        css = self._zero_terms.extend(*self.prefix.arrays())[1, n]
+        return variance_floor(css / (n - 1) if n >= 2 else None)
 
     def _active_lo(self) -> int:
         cap = self.config.window_cap
@@ -794,7 +823,7 @@ class CppState:
         floor = self._floor() if self.config.model.sigma is None else None
         tables = build_conditional_tables(
             self.prefix, self.config, self.rng, floor, lo=lo, cache=self._cache,
-            memo=self.history.matrix(n - 1),
+            memo=self.history.matrix(n - 1), zero_terms=self._zero_terms,
         )
 
         # warm start: previous solution extended by a zero for the new index

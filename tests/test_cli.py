@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -222,6 +223,17 @@ class TestSharedOptions:
         assert capsys.readouterr().err.startswith("usage: ")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["--seed", "3"], ["--seed=3"], ["--mode", "sample"]])
+    def test_shared_option_before_the_subcommand_is_named(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "synth", "--segment", "5:0:1", "--out", str(tmp_path / "y.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        option = argv[0].split("=")[0]
+        assert err.startswith("usage: ")
+        assert f"error: {option} goes after the subcommand" in err
+        assert "invalid choice" not in err
+
     @pytest.mark.parametrize("command", ["detect", "synth", "bench"])
     def test_every_command_takes_seed(self, command):
         from cpdetect.cli import build_parser
@@ -299,6 +311,25 @@ class TestBenchCommand:
         assert rc == 0
         comparison = json.loads((tmp_path / "tiny_comparison.json").read_text())
         assert "degenerate" in comparison.get("note", "")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sigma_sweep_with_too_few_trials_writes_nan_rows(self, tmp_path, capsys, fmt):
+        prefix = tmp_path / "few"
+        rc = main(["bench", "--sigma-sweep", "1", "--trials", "19", "--format", fmt,
+                   "--out", str(prefix)])
+        assert rc == 0
+        path = tmp_path / f"few_sigma.{fmt}"
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        if fmt == "json":
+            (row,) = json.loads(path.read_text())
+        else:
+            with open(path, newline="") as fh:
+                (row,) = list(csv.DictReader(fh))
+        assert list(row) == ["sigma", "cpp_delay", "glr_delay", "note"]
+        assert float(row["sigma"]) == 1.0
+        assert math.isnan(float(row["cpp_delay"])) and math.isnan(float(row["glr_delay"]))
+        assert "cpp: sweep has no rows with a defined mean delay" in row["note"]
+        assert "glr: sweep has no rows with a defined mean delay" in row["note"]
 
     def test_single_detector_json_output(self, tmp_path):
         prefix = tmp_path / "solo"

@@ -18,6 +18,7 @@ from cpdetect.harness import (
     interpolate_at_alpha,
     make_detector,
     sample_t0,
+    sigma_sweep,
     threshold_sweep,
     trimmed_mean_delay,
 )
@@ -236,6 +237,25 @@ class TestInterpolateAtAlpha:
     def test_nan_rows_are_skipped(self):
         sweep = self._sweep([(0.0, math.nan), (0.04, 10.0), (0.08, 14.0)])
         assert interpolate_at_alpha(sweep, 0.06) == pytest.approx(12.0)
+
+
+class TestSigmaSweep:
+    def test_too_few_trials_give_nan_delays_with_notes(self):
+        rows = sigma_sweep(FAST_SPEC, [1.0, 2.0], n_trials=5)
+        assert [row.sigma for row in rows] == [1.0, 2.0]
+        for row in rows:
+            assert math.isnan(row.cpp_delay) and math.isnan(row.glr_delay)
+            assert row.note == (
+                "cpp: sweep has no rows with a defined mean delay; "
+                "glr: sweep has no rows with a defined mean delay"
+            )
+        sigma, cpp_delay, glr_delay = rows[0]  # a row still unpacks as a triple
+        assert sigma == 1.0 and math.isnan(cpp_delay) and math.isnan(glr_delay)
+
+    def test_defined_delays_have_no_note(self):
+        (row,) = sigma_sweep(FAST_SPEC, [1.0], n_trials=60)
+        assert math.isfinite(row.cpp_delay) and math.isfinite(row.glr_delay)
+        assert row.note == ""
 
 
 class TestSpecValidation:

@@ -792,3 +792,104 @@ class TestTableViews:
         np.testing.assert_allclose(
             tables.last_from_second(p_second), dense.T @ p_second, rtol=0, atol=1e-12
         )
+
+
+def css_post_formula(S, Q, n):
+    """css(i, n) for i = 0..n, as the dense table build computes it."""
+    m = np.arange(float(n), -1.0, -1.0)
+    s = S[n] - S
+    return np.maximum((Q[n] - Q) - s * s / np.maximum(m, 1.0), 0.0)
+
+
+def two_shift_stream(n, seed):
+    xs = np.random.default_rng(seed).standard_normal(n)
+    xs[n // 3 :] += 1.5
+    xs[2 * n // 3 :] -= 1.0
+    return xs
+
+
+def assert_bits_equal(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestPerStepVectorsComputedOnce:
+    """The cache's css(i, n) column and the carried (0, i] terms that the
+    zero-or-one posterior reads are bit for bit what the formulas give."""
+
+    @pytest.mark.parametrize("case", ["uncapped", "cap40", "second-build", "after-restore"])
+    @pytest.mark.parametrize("model", [KNOWN, ESTIMATED], ids=["factored", "fused"])
+    def test_css_post_is_the_formula_at_every_step(self, monkeypatch, model, case):
+        seen, built = [], []
+        hzero, build = kernel._hzero_posterior, kernel.build_conditional_tables
+
+        def spy_hzero(n, lo, S, Q, css_post, *rest):
+            seen.append(css_post)
+            return hzero(n, lo, S, Q, css_post, *rest)
+
+        def spy_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(kernel, "_hzero_posterior", spy_hzero)
+        monkeypatch.setattr(kernel, "build_conditional_tables", spy_build)
+        config = CppConfig(model=model, window_cap=40 if case == "cap40" else None)
+        state = CppState(config, rng=0)
+        for n, x in enumerate(two_shift_stream(200, 31), start=1):
+            if case == "after-restore" and n in (2, 57, 150):
+                state = CppState.from_json(state.to_json())
+            state.observe(x)
+            if n == 1:
+                continue
+            if case == "second-build":
+                floor = state._floor() if model.sigma is None else None
+                build(state.prefix, config, state.rng, floor, lo=state._active_lo(),
+                      cache=state._cache, memo=state.history.matrix(n - 1),
+                      zero_terms=state._zero_terms)
+            S, Q = state.prefix.arrays()
+            expected = css_post_formula(S, Q, n)
+            assert_bits_equal(seen[-1], expected)
+            assert_bits_equal(state._cache.css_post, expected)
+            if model.sigma is not None:
+                # the factored post = exp(b - max b), b = -css(i, n) / 2 sigma^2
+                first = max(state._active_lo(), 1)
+                b = expected[first + 1 : n] / -2.0
+                b -= b.max(initial=-np.inf)
+                assert_bits_equal(built[-1].post[first + 1 : n], np.exp(b))
+        assert len(seen) == 199 * (2 if case == "second-build" else 1)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [dict(model=KNOWN), dict(model=SingleCpModel(sigma=1.0)),
+         dict(model=SingleCpModel(mu0=0.0)), dict(model=SingleCpModel()),
+         dict(variance_change=True)],
+        ids=["mu0-sigma", "sigma", "mu0", "neither", "variance-change"],
+    )
+    def test_carried_zero_start_terms_equal_a_recomputation(self, cfg):
+        config = CppConfig(**cfg)
+        mu0 = config.model.mu0
+        state = CppState(config, rng=0)
+        for n, x in enumerate(two_shift_stream(200, 32), start=1):
+            if n == 90:
+                state = CppState.from_json(state.to_json())
+            state.observe(x)
+            S, Q = state.prefix.arrays()
+            m, css, quad = state._zero_terms.extend(S, Q)
+            # the pre-change terms of (0, i] as the zero-or-one posterior
+            # computes them when it has no carried terms
+            m0 = np.arange(1.0, n + 1.0)
+            s0 = S[1:] - S[0]
+            css0 = np.maximum((Q[1:] - Q[0]) - s0 * s0 / m0, 0.0)
+            assert_bits_equal(m[1:], m0)
+            assert_bits_equal(css[1:], css0)
+            if mu0 is not None:
+                assert_bits_equal(quad[1:], css0 + m0 * (mu0 - s0 / m0) ** 2)
+            floor = state._floor() if config.model.sigma is None else None
+            # a binding cap (lo > 0) does not read the carried terms
+            for lo in {0, max(0, n - 40)} if n >= 2 else ():
+                args = (n, lo, S, Q, css_post_formula(S, Q, n), config, state.rng, floor)
+                assert_bits_equal(
+                    kernel._hzero_posterior(*args, state._zero_terms),
+                    kernel._hzero_posterior(*args),
+                )
