@@ -8,10 +8,13 @@ Two measurements go into the file:
 * every workload that ``BENCHMARK.json`` lists, run once through
   ``perfbench/run.py --trace 0``: its end-to-end metrics and check counts;
 * the per-mode ``observe`` table: ms per ``CppState.observe`` at window sizes
-  n = 25, 50, 100, 200, 400 and 800, each the median of the 30 steps around
-  n of one stream, for known sigma, estimated sigma, posterior sampling (known
-  sigma), ``variance_change`` (plug-in) and known sigma with
-  ``window_cap=100``.  The two small sizes show the fixed cost of a step.
+  n = 25, 50, 100, 200, 400 and 800 for known sigma, estimated sigma,
+  posterior sampling (known sigma), ``variance_change`` (plug-in) and known
+  sigma with ``window_cap=100``.  A size up to 200 is the median, over 7
+  seeded streams, of each stream's median over the 30 steps around n; one
+  stream at n <= 100 moves by about 30 % from run to run.  The sizes 400 and
+  800 take the median of the 30 steps around n of one long stream.  The two
+  small sizes show the fixed cost of a step.
 
 Both run with one BLAS thread and pinned to the highest-numbered CPU the
 process may use, through ``perfbench/run.py``'s own ``pin_cpu``.  The file also
@@ -48,6 +51,9 @@ from cpdetect import CppConfig, CppState, EstimationMode, SingleCpModel  # noqa:
 SIZES = (25, 50, 100, 200, 400, 800)
 #: steps per median; the steps that leave the window at n - 14 .. n + 15
 STEPS = 30
+#: sizes up to SHORT take the median over STREAMS seeded streams (seeds 0, 1, ...)
+SHORT = 200
+STREAMS = 7
 
 _KNOWN = SingleCpModel(mu0=0.0, sigma=1.0)
 MODES = {
@@ -67,20 +73,35 @@ def stream(n: int, seed: int = 0) -> np.ndarray:
     return xs
 
 
-def observe_table(sizes=SIZES, steps: int = STEPS) -> dict:
-    """{mode: {n: median ms per observe over the ``steps`` steps around n}}."""
+def observe_ms(config: CppConfig, xs: np.ndarray, seed: int) -> list[float]:
+    """ms of each ``observe`` of a fresh state (rng ``seed``) fed ``xs``;
+    entry k is the step that leaves k + 1 points in the window."""
+    state = CppState(config, rng=seed)
+    ms = []
+    for x in xs:
+        start = time.perf_counter()
+        state.observe(x)
+        ms.append(1e3 * (time.perf_counter() - start))
+    return ms
+
+
+def observe_table(sizes=SIZES, steps: int = STEPS, streams: int = STREAMS) -> dict:
+    """{mode: {n: median ms per observe over the ``steps`` steps around n}};
+    a size up to SHORT takes the median of that over ``streams`` streams."""
     half = steps // 2
-    xs = stream(max(sizes) + half)
+    short = [n for n in sizes if n <= SHORT]
     table = {}
     for mode, config in MODES.items():
-        state = CppState(config, rng=0)
-        ms = []
-        for x in xs:
-            start = time.perf_counter()
-            state.observe(x)
-            ms.append(1e3 * (time.perf_counter() - start))
-        # ms[k] is the step that leaves k + 1 points in the window
-        table[mode] = {str(n): statistics.median(ms[n - half : n + half]) for n in sizes}
+        runs = [observe_ms(config, stream(max(short) + half, seed), seed)
+                for seed in range(streams)] if short else []
+        long = observe_ms(config, stream(max(sizes) + half), 0) if max(sizes) > SHORT else []
+        table[mode] = {
+            str(n): statistics.median(
+                [statistics.median(ms[n - half : n + half]) for ms in runs]
+                if n <= SHORT else long[n - half : n + half]
+            )
+            for n in sizes
+        }
     return table
 
 
@@ -124,7 +145,8 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "workloads": workloads,
-        "observe_ms": {"sizes": list(SIZES), "steps": STEPS, "modes": observe_table()},
+        "observe_ms": {"sizes": list(SIZES), "steps": STEPS, "short_streams": STREAMS,
+                       "short_max": SHORT, "modes": observe_table()},
     }
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")

@@ -32,7 +32,7 @@ Per-step cost at n points, by mode:
   E = exp(a) are fixed once column i exists, so they are cached and grow by
   one O(n) column per step; only post = exp(b) is new.  The row normalisers
   Z = E exp(b) and the p_last update ((p_second / Z)^T E) * exp(b) are two
-  n x n matrix-vector products, plus a third for the memo lookup.  A row
+  matrix-vector products, plus a third for the memo lookup.  A row
   whose Z underflows is stored whole, from the full formula, at O(n).
 * Estimated sigma, plug-in means: the window (j, n] of row j has n - j
   points whatever the split i, so with T = css(j, i) + css(i, n) and an
@@ -45,7 +45,7 @@ Per-step cost at n points, by mode:
   so that every log and exp sees a finite value; the finished rows are
   written once into the step's fresh (n + 1) x (n + 1) array of weights.
   Rows where the floor binds take the full log-likelihood.  The p_last
-  update is then one n x n matrix-vector product, plus the memo lookup.
+  update is then one matrix-vector product, plus the memo lookup.
 * Posterior sampling, or per-segment variances: the weights are the dense
   tables, rebuilt every step, O(n^2) time spread over about fifteen
   temporary (n + 1) x (n + 1) arrays.
@@ -58,6 +58,11 @@ reads that vector and evaluates only the splits of the window (lo, n]:
 O(n - lo) per step.  While the window starts at 0, its pre-change segments
 are the (0, i], whose terms depend on i alone; :class:`ZeroStartTerms`
 carries them, each computed once, when a step first reaches i.
+
+The weights are strictly upper triangular and the memo lower triangular, so
+above B = ``_PRODUCT_BLOCK_ROWS`` points each matrix-vector product reads only
+the filled triangle, in blocks of B rows: n^2 / 2 + n B / 2 cells, not (n + 1)^2.
+Up to B points, each is one product over the whole operand.
 
 ``window_cap`` freezes hypotheses older than the cap; it does not reduce
 any of these costs, and a binding cap does not conserve probability today.
@@ -212,8 +217,14 @@ class ConditionalTables:
         return dense
 
     def last_from_second(self, p_second: np.ndarray) -> np.ndarray:
-        """sum_j p_second[j] * last_given_second[j], as one matvec."""
-        out = (p_second * self.row_scale) @ self.weights
+        """sum_j p_second[j] * last_given_second[j], by row blocks above B points."""
+        v = p_second * self.row_scale
+        if self.n <= _PRODUCT_BLOCK_ROWS:
+            out = v @ self.weights
+        else:
+            out = np.zeros(self.n + 1)
+            for r0, r1 in _row_blocks(0, self.n):
+                out[r0 + 1 :] += v[r0:r1] @ self.weights[r0:r1, r0 + 1 :]
         out *= self.post
         if self.exact.size:
             out += p_second[self.exact] @ self.exact_rows
@@ -225,6 +236,16 @@ class ConditionalTables:
         if hit.size:
             return self.exact_rows[hit[0]]
         return self.weights[j] * self.post * self.row_scale[j]
+
+
+#: B, the rows per block of a step's triangular matrix-vector products.
+_PRODUCT_BLOCK_ROWS = 160
+
+
+def _row_blocks(start: int, stop: int):
+    """(r0, r1) for each block of ``_PRODUCT_BLOCK_ROWS`` rows in start..stop-1."""
+    rows = _PRODUCT_BLOCK_ROWS
+    return [(r0, min(r0 + rows, stop)) for r0 in range(start, stop, rows)]
 
 
 #: The ``exact`` of a table with no rows stored whole.
@@ -473,7 +494,11 @@ def _factored_rows(n, lo, S, Q, config: CppConfig, floor, cache: ExpCssCache):
         b = css_post[first + 1 : n] / -two_sigma2
         b -= b.max()
         np.exp(b, out=post[first + 1 : n])
-        z = weights[first : n - 1] @ post
+        if n <= _PRODUCT_BLOCK_ROWS:
+            z = weights[first : n - 1] @ post
+        else:
+            z = np.concatenate([weights[r0:r1, r0 + 1 :] @ post[r0 + 1 :]
+                                for r0, r1 in _row_blocks(first, n - 1)])
         ok = z >= _MIN_ROW_NORM
         np.divide(1.0, z, out=row_scale[first : n - 1], where=ok)
         if not ok.all():
@@ -671,10 +696,13 @@ def jacobi_step(
     p_hzero = _unit(1.0 - float(p_second.sum()))
     new_last = tables.last_from_second(p_second)
     new_last += tables.last_given_hzero * p_hzero
-    k = tables.memo.shape[0]
+    memo, k = tables.memo, tables.memo.shape[0]  # memo row k holds P_k(i) for i <= k
     new_second = np.zeros(tables.n + 1)
-    if k > 0:
-        new_second[: tables.memo.shape[1]] = tables.memo.T @ p_last[:k]
+    if k > _PRODUCT_BLOCK_ROWS:
+        for r0, r1 in _row_blocks(0, k):
+            new_second[:r1] += p_last[r0:r1] @ memo[r0:r1, :r1]
+    elif k > 0:
+        new_second[: memo.shape[1]] = memo.T @ p_last[:k]
     _clamp_unit(new_last)
     _clamp_unit(new_second)
     return new_last, new_second, _unit(1.0 - float(new_second.sum()))
@@ -729,7 +757,9 @@ class PosteriorMatrix:
 
     def matrix(self, n: int) -> np.ndarray:
         """Read-only (n+1, n+1) view; entry [k, i] is P_k(i)."""
-        return self._buf[: n + 1, : n + 1]
+        view = self._buf[: n + 1, : n + 1]
+        view.flags.writeable = False
+        return view
 
     def packed(self) -> np.ndarray:
         """Rows k = 1..n, each holding P_k(1..k), end to end: n(n+1)/2 values."""

@@ -5,6 +5,7 @@ per-window posteriors in tests/oracles.py, and the Jacobi update is
 checked against hand-computed substitutions on small hand-set tables.
 """
 
+import dataclasses
 import json
 import math
 
@@ -236,6 +237,16 @@ class TestMemoization:
             pm.append(np.zeros(4))  # skips step 2
         with pytest.raises(IndexError):
             pm.row(5)
+
+    def test_matrix_view_is_read_only(self):
+        state = run_series(np.random.default_rng(3).standard_normal(8))
+        before = state.history.row(5).copy()
+        view = state.history.matrix(5)
+        with pytest.raises(ValueError, match="read-only"):
+            view[5, 1] = 0.9
+        np.testing.assert_array_equal(state.history.row(5), before)
+        state.observe(0.5)  # appending still writes the store
+        assert len(state.history) == 9
 
 
 def assert_same_state(a, b):
@@ -893,3 +904,82 @@ class TestPerStepVectorsComputedOnce:
                     kernel._hzero_posterior(*args, state._zero_terms),
                     kernel._hzero_posterior(*args),
                 )
+
+
+def product_block_case(case):
+    """A 200-point (180 for the dense modes) config and stream whose last
+    step exercises the named kind of table rows."""
+    xs = two_shift_stream(200, 41)
+    if case == "factored-whole-rows":
+        return CppConfig(model=SingleCpModel(mu0=0.0, sigma=0.1)), xs
+    if case == "fused-floored-rows":
+        xs = np.round(xs, 1)
+        xs[-15:] = xs[-16]  # the floor binds on the rows whose window is constant
+        return CppConfig(model=ESTIMATED), xs
+    if case == "dense-sample":
+        return CppConfig(model=KNOWN, estimation_mode=EstimationMode.POSTERIOR_SAMPLE), xs[:180]
+    if case == "variance-change":
+        return CppConfig(model=SingleCpModel(), variance_change=True), xs[:180]
+    return CppConfig(model=KNOWN, window_cap=40), xs
+
+
+class TestProductBlockHeight:
+    """The three matrix-vector products of a step read only the filled
+    triangle of their operand, in blocks of ``_PRODUCT_BLOCK_ROWS`` rows.
+    Whatever the height, Z (through ``row_scale``), ``last_from_second`` and
+    the memo lookup in ``jacobi_step`` agree with products of the dense
+    ``last_given_second`` and memo to rounding; up to the height, each is
+    the single product over the whole operand, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "case", ["factored-whole-rows", "fused-floored-rows", "dense-sample",
+                 "variance-change", "cap40"]
+    )
+    def test_products_match_dense_at_every_height(self, monkeypatch, case):
+        config, xs = product_block_case(case)
+        state = run_series(xs, model=config.model, mode=config.estimation_mode, seed=5,
+                           variance_change=config.variance_change, window_cap=config.window_cap)
+        n, lo = state.n, state._active_lo()
+        floor = state._floor() if config.model.sigma is None else None
+        memo = state.history.matrix(n - 1)
+        vectors = np.random.default_rng(42).dirichlet(np.ones(n + 1), size=2)
+        p_last, p_second = vectors[0], 0.5 * vectors[1]
+        tril = np.tril(np.random.default_rng(43).random((n, n)))
+        for height in (1, 7, 160, n + 1):
+            monkeypatch.setattr(kernel, "_PRODUCT_BLOCK_ROWS", height)
+            tables = build_conditional_tables(
+                state.prefix, config, np.random.default_rng(6), floor, lo=lo, memo=memo
+            )
+            if case == "factored-whole-rows":
+                assert tables.exact.size > 0
+            elif case == "fused-floored-rows":
+                assert (tables.row_scale[n - 15 : n - 2] == 1.0).all()
+            first = max(lo, 1)
+            z = tables.weights[first : n - 1] @ tables.post
+            row_scale, dense = tables.row_scale, tables.last_given_second
+            got_last = tables.last_from_second(p_second)
+            _, got_second, _ = jacobi_step(p_last, p_second, tables)
+            expected_second = np.minimum(memo.T @ p_last[:n], 1.0)
+            # P_k(k) is 0 in a real history; a hand-set diagonal shows that each
+            # block reads column r1 - 1 of its last row r1 - 1
+            _, got_tril, _ = jacobi_step(p_last, p_second, dataclasses.replace(tables, memo=tril))
+            if kernel._table_path(config) == "factored":
+                ok = z >= kernel._MIN_ROW_NORM
+                assert ok.any()
+                np.testing.assert_allclose(row_scale[first : n - 1][ok], 1.0 / z[ok], rtol=1e-13)
+            np.testing.assert_allclose(got_last, dense.T @ p_second, rtol=1e-13, atol=1e-300)
+            np.testing.assert_allclose(got_second[:n], expected_second, rtol=1e-13, atol=1e-300)
+            np.testing.assert_allclose(got_tril[:n], tril.T @ p_last[:n], rtol=1e-13)
+            if height >= n:
+                # the single products over the whole operand, as written before blocking
+                if kernel._table_path(config) == "factored":
+                    single = np.zeros(n - 1 - first)
+                    np.divide(1.0, z, out=single, where=z >= kernel._MIN_ROW_NORM)
+                    assert_bits_equal(row_scale[first : n - 1], single)
+                single = (p_second * row_scale) @ tables.weights
+                single *= tables.post
+                if tables.exact.size:
+                    single += p_second[tables.exact] @ tables.exact_rows
+                assert_bits_equal(got_last, single)
+                assert_bits_equal(got_second[:n], expected_second)
+                assert_bits_equal(got_tril[:n], tril.T @ p_last[:n])

@@ -30,6 +30,27 @@ def test_observe_table_covers_every_mode(perf):
         assert all(ms > 0 for ms in row.values())
 
 
+def test_short_sizes_take_the_median_over_seeded_streams(perf, monkeypatch):
+    # each fake step costs its stream's seed plus a thousandth of its length
+    calls = []
+
+    def fake_observe_ms(config, xs, seed):
+        calls.append((len(xs), seed))
+        return [seed + len(xs) / 1000] * len(xs)
+
+    monkeypatch.setattr(perf, "observe_ms", fake_observe_ms)
+    monkeypatch.setattr(perf, "MODES", {"known": perf.MODES["known"]})
+    table = perf.observe_table(sizes=(10, 20, 300), steps=4, streams=5)
+    # the sizes up to SHORT share 5 streams of 22 points, seeds 0..4; 300 one long stream
+    assert sorted(calls) == sorted([(22, seed) for seed in range(5)] + [(302, 0)])
+    assert table["known"] == {"10": 2.022, "20": 2.022, "300": 0.302}
+
+
+def test_observe_table_streams_differ_by_seed(perf):
+    assert not (perf.stream(30, 0) == perf.stream(30, 1)).any()
+    assert (perf.stream(30, 3) == perf.stream(30, 3)).all()
+
+
 def test_crashed_workload_run_is_recorded_by_exit_code(perf, monkeypatch, tmp_path):
     # a run that dies after its environment line leaves no result line to parse
     def crashed(cmd, **kwargs):
