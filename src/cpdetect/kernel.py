@@ -61,7 +61,7 @@ carries them, each computed once, when a step first reaches i.
 
 The weights are strictly upper triangular and the memo lower triangular, so
 above B = ``_PRODUCT_BLOCK_ROWS`` points each matrix-vector product reads only
-the filled triangle, in blocks of B rows: n^2 / 2 + n B / 2 cells, not (n + 1)^2.
+the filled triangle, in blocks of B rows: about n^2 / 2 + n B / 2 cells, not (n + 1)^2.
 Up to B points, each is one product over the whole operand.
 
 ``window_cap`` freezes hypotheses older than the cap; it does not reduce
