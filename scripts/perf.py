@@ -3,7 +3,7 @@
     python3 scripts/perf.py --label change
     python3 scripts/perf.py --label parent --seconds 15 --out /some/dir
 
-Two measurements go into the file:
+Three measurements go into the file:
 
 * every workload that ``BENCHMARK.json`` lists, run once through
   ``perfbench/run.py --trace 0``: its end-to-end metrics and check counts;
@@ -14,7 +14,9 @@ Two measurements go into the file:
   seeded streams, of each stream's median over the 30 steps around n; one
   stream at n <= 100 moves by about 30 % from run to run.  The sizes 400 and
   800 take the median of the 30 steps around n of one long stream.  The two
-  small sizes show the fixed cost of a step.
+  small sizes show the fixed cost of a step;
+* the size of ``src/``: its total lines, and its code lines, which leave out
+  blank lines, comments and docstrings.
 
 Both run with one BLAS thread and pinned to the highest-numbered CPU the
 process may use, through ``perfbench/run.py``'s own ``pin_cpu``.  The file also
@@ -26,12 +28,15 @@ script's directory.
 """
 
 import argparse
+import ast
 import importlib.util
+import io
 import json
 import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,6 +110,33 @@ def observe_table(sizes=SIZES, steps: int = STEPS, streams: int = STREAMS) -> di
     return table
 
 
+#: tokens that make no line a code line
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING, tokenize.ENDMARKER}
+_HAS_DOCSTRING = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def source_lines(root: Path = ROOT / "src") -> dict:
+    """{"total": lines, "code": code lines} of the Python files under root;
+    a code line holds a token that is neither a comment nor a docstring."""
+    total = code = 0
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        total += len(text.splitlines())
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            first = node.body[0] if isinstance(node, _HAS_DOCSTRING) and node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _NOT_CODE:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        code += len(lines - docstrings)
+    return {"total": total, "code": code}
+
+
 def run_workload(name: str, seed: int, seconds: float) -> dict:
     """The result line of one ``perfbench/run.py --trace 0`` run."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
@@ -147,6 +179,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "observe_ms": {"sizes": list(SIZES), "steps": STEPS, "short_streams": STREAMS,
                        "short_max": SHORT, "modes": observe_table()},
+        "src_lines": source_lines(),
     }
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")

@@ -55,9 +55,12 @@ once: on the factored and fused paths it is the newest cache column, kept
 whole before the factored cache takes its exp, and the dense path computes
 it from the prefix sums.  The zero-or-one posterior P(i | fewer than two)
 reads that vector and evaluates only the splits of the window (lo, n]:
-O(n - lo) per step.  While the window starts at 0, its pre-change segments
-are the (0, i], whose terms depend on i alone; :class:`ZeroStartTerms`
-carries them, each computed once, when a step first reaches i.
+O(n - lo) per step.
+
+The prefix sums are taken about a reference point, the known mu0 or else the
+first observation (Chan, Golub & LeVeque 1983): a sum of squares Q - S^2 / m
+then cancels only as far as the data spread about that point, and with a known
+mu0 a segment's squared deviations from it are a difference of prefix sums.
 
 The weights are strictly upper triangular and the memo lower triangular, so
 above B = ``_PRODUCT_BLOCK_ROWS`` points each matrix-vector product reads only
@@ -110,8 +113,11 @@ class SingleCpModel:
             raise ValueError("change_prior_f must be in (0, 1)")
         if self.mu0 is not None and not math.isfinite(self.mu0):
             raise ValueError("known mu0 must be finite")
-        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("known sigma must be positive and finite")
+        # the kernel divides by sigma^2, which must neither overflow nor underflow
+        s2 = None if self.sigma is None else self.sigma * self.sigma
+        if s2 is not None and not (self.sigma > 0 and 0 < s2 < math.inf):
+            raise ValueError(f"known sigma must be positive and finite, and so must its "
+                             f"square: sigma={self.sigma!r} squares to {s2!r}")
 
 
 @dataclass
@@ -334,29 +340,6 @@ class ExpCssCache(CssCache):
         np.exp(work, out=out)
 
 
-class ZeroStartTerms:
-    """Rows m, css and, with a known mu0, the squared deviations from mu0 of
-    the segments (0, i], i = 0..n: the pre-change terms of a zero-or-one
-    posterior on a window that starts at 0.  Entry i depends on i alone, so
-    it is computed once, with the scalar form of the array arithmetic."""
-
-    def __init__(self, mu0: float | None):
-        self._mu0, self._terms, self._n = mu0, np.zeros((3, 16)), 0
-
-    def extend(self, S: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Fill the entries up to the last prefix sum; return rows 0..n."""
-        n = len(S) - 1
-        while n >= self._terms.shape[1]:
-            self._terms = np.concatenate([self._terms, np.zeros_like(self._terms)], axis=1)
-        for i in range(self._n + 1, n + 1):
-            s, m = float(S[i]), float(i)  # S[0] and Q[0] are 0
-            d = 0.0 if self._mu0 is None else self._mu0 - s / m
-            css = max(float(Q[i]) - s * s / m, 0.0)
-            self._terms[:, i] = m, css, css + m * (d * d)
-        self._n = n
-        return self._terms[:, : n + 1]
-
-
 def _new_cache(config: CppConfig) -> CssCache | None:
     """The column cache the config's table path extends, if any."""
     path = _table_path(config)
@@ -394,17 +377,18 @@ def build_conditional_tables(
     lo: int = 0,
     cache: CssCache | None = None,
     memo: np.ndarray | None = None,
-    zero_terms: ZeroStartTerms | None = None,
 ) -> ConditionalTables:
     """Conditional changepoint posteriors for every suffix window at once.
 
-    ``lo`` restricts attention to positions > lo (used by window capping);
-    with lo = 0 the full series is covered.  ``floor`` is the variance
-    floor, which a known-sigma config never reads.  A plug-in config
-    without per-segment variances extends ``cache`` (a fresh one if None)
-    to the prefix.  ``memo`` is the history of p_last rows from steps
-    1..n-1 (empty if None).  With lo = 0 the zero-or-one posterior reads
-    the terms of its segments (0, i] from ``zero_terms`` when given.
+    ``prefix`` holds the sums of the series' deviations from a reference
+    point, which must be the known mu0 when the config has one; with an
+    unknown mean any point serves, and :class:`CppState` takes the first
+    observation.  ``lo`` restricts attention to positions > lo (used by
+    window capping); with lo = 0 the full series is covered.  ``floor`` is
+    the variance floor, which a known-sigma config never reads.  A plug-in
+    config without per-segment variances extends ``cache`` (a fresh one if
+    None) to the prefix.  ``memo`` is the history of p_last rows from steps
+    1..n-1 (empty if None).
     """
     n = len(prefix)
     S, Q = prefix.arrays()
@@ -424,7 +408,7 @@ def build_conditional_tables(
         build = _factored_rows if path == "factored" else _fused_rows
         weights, post, row_scale, exact, exact_rows = build(n, lo, S, Q, config, floor, cache)
         css_post = cache.css_post
-    c0 = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor, zero_terms)
+    c0 = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor)
     memo = np.zeros((0, 0)) if memo is None else memo
     return ConditionalTables(n, c0, weights, post, row_scale, memo, exact, exact_rows)
 
@@ -602,16 +586,17 @@ def _loglik_two_variances(m_pre, css_pre, m_post, css_post, floor, draws=None):
     return seg_ll(m_pre, css_pre, chi_pre, z_pre) + seg_ll(m_post, css_post, chi_post, z_post)
 
 
-def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor, zero_terms=None):
+def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor):
     """Zero-or-one-changepoint posterior on the window (lo, n].
 
     Only the admissible splits i are evaluated: lo < i <= n - 1, or, with
     per-segment variances, the splits that leave each segment two points.
-    ``css_post[i]`` is css(i, n), which the table build already has, and
-    with lo = 0 ``zero_terms``, when given, has the terms of (0, i], so a
-    step costs O(n - lo).  Posterior sampling draws one value per position
-    0..n and keeps the splits, so the generator advances as it would over
-    the whole series; it adds s2 times a squared normal draw to a css.
+    ``css_post[i]`` is css(i, n), which the table build already has, so a
+    step costs O(n - lo).  With a known mu0 the prefix sums are taken about
+    it, so the squared deviations from mu0 of (lo, i] and of the window are
+    differences of Q.  Posterior sampling draws one value per position 0..n
+    and keeps the splits, so the generator advances as it would over the
+    whole series; it adds s2 times a squared normal draw to a css.
     """
     model = config.model
     sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
@@ -622,17 +607,14 @@ def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor, zero_
 
     # splits a <= i < b: the segments (lo, i] and (i, n] hold m0 and m1 points
     a, b = (lo + 2, n - 1) if config.variance_change else (lo + 1, n)
-    if lo == 0 and zero_terms is not None:
-        m0, css0, quad0 = zero_terms.extend(S, Q)[:, a:b]
-    else:
+    css1 = css_post[a:b]
+    if model.sigma is None or model.mu0 is None:
+        # css of (lo, i] and of the window, for a variance estimate or an unknown mean
         m0 = np.arange(float(a - lo), float(b - lo))
         s0 = S[a:b] - S[lo]
         css0 = np.maximum((Q[a:b] - Q[lo]) - s0 * s0 / m0, 0.0)
-        quad0 = None if model.mu0 is None else css0 + m0 * (model.mu0 - s0 / m0) ** 2
-    css1 = css_post[a:b]
-    # whole-window stats for the no-change hypothesis
-    w_s = S[n] - S[lo]
-    w_css = max((Q[n] - Q[lo]) - w_s * w_s / m_win, 0.0)
+        w_s = S[n] - S[lo]
+        w_css = max((Q[n] - Q[lo]) - w_s * w_s / m_win, 0.0)
     dof_w = max(m_win - 1.0, 1.0)
 
     if config.variance_change:
@@ -653,7 +635,7 @@ def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor, zero_
     s2w = s2 if model.sigma is not None else max(
         w_css / rng.chisquare(dof_w) if sample else w_css / dof_w, floor)
     if model.mu0 is not None:
-        quad_w = w_css + m_win * (model.mu0 - w_s / m_win) ** 2
+        quad0, quad_w = Q[a:b] - Q[lo], Q[n] - Q[lo]
     elif sample:
         if not config.variance_change:
             quad0 = css0 + s2 * rng.standard_normal(n + 1)[a:b] ** 2
@@ -804,15 +786,15 @@ class CppState:
             rng = np.random.default_rng(rng)
         self.rng = rng
         self.series: list[float] = []
-        self.prefix = PrefixStats()
+        self.prefix = PrefixStats()  # sums of x - _ref, mu0 or else the first x
+        self._ref = self.config.model.mu0
         self.history = PosteriorMatrix()
         self.p_last = np.zeros(1)
         self.p_second = np.zeros(1)
         self.p_hzero = 1.0
-        # not serialized: they are functions of the series, and the first
-        # observe after a restore refills them
+        # not serialized: a function of the series, which the first observe
+        # after a restore refills
         self._cache = _new_cache(self.config)
-        self._zero_terms = ZeroStartTerms(self.config.model.mu0)
 
     # -- core update ---------------------------------------------------
 
@@ -821,11 +803,9 @@ class CppState:
         return len(self.series)
 
     def _floor(self) -> float:
-        """The variance floor for the sample variance of the series, whose
-        css(0, n) the zero-or-one posterior's carried terms hold."""
-        n = self.n
-        css = self._zero_terms.extend(*self.prefix.arrays())[1, n]
-        return variance_floor(css / (n - 1) if n >= 2 else None)
+        """The variance floor for the sample variance of the series."""
+        n, (S, Q) = self.n, self.prefix.arrays()
+        return variance_floor(max(Q[n] - S[n] * S[n] / n, 0.0) / (n - 1) if n >= 2 else None)
 
     def _active_lo(self) -> int:
         cap = self.config.window_cap
@@ -833,12 +813,21 @@ class CppState:
             return 0
         return max(0, self.n - cap)
 
+    def _append_prefix(self, x: float) -> None:
+        """Add x's deviation from the reference point to the prefix sums."""
+        if not math.isfinite(x):
+            raise ValueError("observation must be finite")
+        self._ref = x if self._ref is None else self._ref
+        try:
+            self.prefix.append(x - self._ref)
+        except ValueError:  # name the deviation, which is what overflows
+            raise ValueError(f"observation {x!r} lies {x - self._ref!r} from the reference "
+                             f"point {self._ref!r}: its square would overflow the sums") from None
+
     def observe(self, x: float) -> None:
         """Advance the detector by one observation."""
         x = float(x)
-        if not math.isfinite(x):
-            raise ValueError("observation must be finite")
-        self.prefix.append(x)
+        self._append_prefix(x)
         self.series.append(x)
         n = self.n
         if n == 1:
@@ -853,7 +842,7 @@ class CppState:
         floor = self._floor() if self.config.model.sigma is None else None
         tables = build_conditional_tables(
             self.prefix, self.config, self.rng, floor, lo=lo, cache=self._cache,
-            memo=self.history.matrix(n - 1), zero_terms=self._zero_terms,
+            memo=self.history.matrix(n - 1),
         )
 
         # warm start: previous solution extended by a zero for the new index
@@ -928,9 +917,10 @@ class CppState:
     @classmethod
     def from_json(cls, text: str) -> "CppState":
         """Restore a :meth:`to_json` snapshot.  Raises ValueError on another
-        snapshot format, on vectors whose lengths do not match the series, and
-        on a non-finite value or a probability outside [0, 1] (p_last may
-        exceed 1 once a window_cap binds)."""
+        snapshot format, on vectors whose lengths do not match the series, on
+        a non-finite value or a probability outside [0, 1] (p_last may exceed
+        1 once a window_cap binds), and on a p_last or p_hzero that disagrees
+        with the history or p_second it duplicates."""
         doc = json.loads(text)
         if doc.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(
@@ -957,7 +947,8 @@ class CppState:
         state.rng.bit_generator.state = doc["rng_state"]
         state.series = _unpack(doc, "series").tolist()
         n = state.n
-        state.prefix = PrefixStats(state.series)  # rejects a non-finite series
+        for x in state.series:
+            state._append_prefix(x)  # rejects a non-finite series
         # a binding window_cap does not conserve probability, so its p_last
         # entries can exceed 1
         top = math.inf if config.window_cap is not None and n > config.window_cap else 1.0
@@ -968,4 +959,9 @@ class CppState:
         p_second = _probabilities("p_second", _unpack(doc, "p_second", n))
         state.p_second = np.concatenate([[0.0], p_second])
         state.p_hzero = float(_probabilities("p_hzero", np.float64(doc["p_hzero"])))
+        # to_json writes these from the same arrays, so they agree bit for bit
+        if n and state.p_last[1:].tobytes() != state.history.row(n).tobytes():
+            raise ValueError("snapshot 'p_last' differs from the newest 'posterior_rows' row")
+        if state.p_hzero != _unit(1.0 - float(state.p_second.sum())):
+            raise ValueError("snapshot 'p_hzero' differs from 1 - sum(p_second)")
         return state

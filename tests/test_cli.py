@@ -134,8 +134,11 @@ class TestDetectCommand:
             (["--window-cap", "2"], "window_cap"),
             (["--jacobi-iterations", "0"], "jacobi_iterations"),
             (["--sigma", "nan"], "sigma must be"),
+            (["--mu0", "0", "--sigma", "1e160"], "sigma=1e+160 squares to inf"),
+            (["--mu0", "0", "--sigma", "1e-170"], "sigma=1e-170 squares to 0.0"),
         ],
-        ids=["variance-change-mu0", "variance-change-sigma", "window-cap", "jacobi", "sigma-nan"],
+        ids=["variance-change-mu0", "variance-change-sigma", "window-cap", "jacobi", "sigma-nan",
+             "sigma-square-overflows", "sigma-square-underflows"],
     )
     def test_config_the_kernel_rejects_is_usage_error(self, tmp_path, capsys, flags, message):
         path = tmp_path / "s.csv"

@@ -66,3 +66,15 @@ def test_crashed_workload_run_is_recorded_by_exit_code(perf, monkeypatch, tmp_pa
     doc = json.loads((tmp_path / "BENCH_crash.json").read_text())
     assert doc["workloads"]
     assert all(w == {"exit_code": 1} for w in doc["workloads"].values())
+    assert doc["src_lines"] == perf.source_lines()
+
+
+def test_source_lines_leave_out_blanks_comments_and_docstrings(perf, tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        '"""Module\ndocstring."""\n\nimport os  # a comment\n\n\n'
+        'def f(x):\n    """One line."""\n    # a comment\n    return (x +\n            1)\n'
+    )
+    (tmp_path / "pkg" / "b.py").write_text('X = """not a\ndocstring"""\n')
+    # a.py: 11 lines, 4 of code (import, def, return and its continuation); b.py: 2 and 2
+    assert perf.source_lines(tmp_path) == {"total": 13, "code": 6}
