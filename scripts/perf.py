@@ -9,12 +9,12 @@ Three measurements go into the file:
   ``perfbench/run.py --trace 0``: its end-to-end metrics and check counts;
 * the per-mode ``observe`` table: ms per ``CppState.observe`` at window sizes
   n = 25, 50, 100, 200, 400 and 800 for known sigma, estimated sigma,
-  posterior sampling (known sigma), ``variance_change`` (plug-in) and known
-  sigma with ``window_cap=100``.  A size up to 200 is the median, over 7
-  seeded streams, of each stream's median over the 30 steps around n; one
-  stream at n <= 100 moves by about 30 % from run to run.  The sizes 400 and
-  800 take the median of the 30 steps around n of one long stream.  The two
-  small sizes show the fixed cost of a step;
+  posterior sampling (known sigma) and ``variance_change`` (plug-in).  A
+  size up to 200 is the median, over 7 seeded streams, of each stream's
+  median over the 30 steps around n; one stream at n <= 100 moves by about
+  30 % from run to run.  The sizes 400 and 800 take the median of the 30
+  steps around n of one long stream.  The two small sizes show the fixed
+  cost of a step;
 * the size of ``src/``: its total lines, and its code lines, which leave out
   blank lines, comments and docstrings.
 
@@ -66,7 +66,6 @@ MODES = {
     "estimated": CppConfig(model=SingleCpModel()),
     "sample": CppConfig(model=_KNOWN, estimation_mode=EstimationMode.POSTERIOR_SAMPLE),
     "variance_change": CppConfig(model=SingleCpModel(), variance_change=True),
-    "capped": CppConfig(model=_KNOWN, window_cap=100),
 }
 
 

@@ -78,7 +78,6 @@ def cmd_detect(args) -> int:
             estimation_mode=args.mode,
             variance_change=args.variance_change,
             jacobi_iterations=args.jacobi_iterations,
-            window_cap=args.window_cap,
         )
         state = CppState(config=config, rng=_resolve_seed(args.seed))
         for x in series.values:
@@ -257,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None,
                    help="known std dev (omit to estimate)")
     p.add_argument("--jacobi-iterations", type=int, default=1)
-    p.add_argument("--window-cap", type=int, default=None,
-                   help="freeze hypotheses older than this many points; once it binds, "
-                   "the cap does not conserve probability today (g can exceed 1)")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--output", default=None, help="write the report here")
     p.add_argument("--snapshot", default=None, help="write a state snapshot (JSON)")

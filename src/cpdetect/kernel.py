@@ -54,8 +54,7 @@ Each step computes css(i, n), the post-change segment of every split,
 once: on the factored and fused paths it is the newest cache column, kept
 whole before the factored cache takes its exp, and the dense path computes
 it from the prefix sums.  The zero-or-one posterior P(i | fewer than two)
-reads that vector and evaluates only the splits of the window (lo, n]:
-O(n - lo) per step.
+reads that vector and evaluates only the admissible splits: O(n) per step.
 
 The prefix sums are taken about a reference point, the known mu0 or else the
 first observation (Chan, Golub & LeVeque 1983): a sum of squares Q - S^2 / m
@@ -66,9 +65,6 @@ The weights are strictly upper triangular and the memo lower triangular, so
 above B = ``_PRODUCT_BLOCK_ROWS`` points each matrix-vector product reads only
 the filled triangle, in blocks of B rows: about n^2 / 2 + n B / 2 cells, not (n + 1)^2.
 Up to B points, each is one product over the whole operand.
-
-``window_cap`` freezes hypotheses older than the cap; it does not reduce
-any of these costs, and a binding cap does not conserve probability today.
 
 A snapshot (:meth:`CppState.to_json`) is one JSON object.  The series,
 p_last, p_second and the history of every P_k, n(n+1)/2 values, are base64
@@ -82,6 +78,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,23 +158,19 @@ class CppConfig:
     ``model`` carries what is known a priori (mu0, sigma, the change prior
     f); ``estimation_mode`` selects plug-in estimates versus posterior draws
     for unknown parameters; ``variance_change`` switches the split likelihood
-    to per-segment variances; ``window_cap``, when set, freezes hypotheses
-    older than the cap.  The cap does not bound per-step time or memory,
-    which still grow with the series, and once it binds it does not
-    conserve probability today: p_hzero + sum(p_second) and g can exceed 1.
+    to per-segment variances; ``jacobi_iterations`` is the number of
+    warm-started sweeps per observation.
     """
 
     model: SingleCpModel = field(default_factory=SingleCpModel)
     jacobi_iterations: int = 1
     estimation_mode: EstimationMode = EstimationMode.PLUG_IN
     variance_change: bool = False
-    window_cap: int | None = None
 
     def __post_init__(self):
-        if self.jacobi_iterations < 1:
-            raise ValueError("jacobi_iterations must be >= 1")
-        if self.window_cap is not None and self.window_cap < 4:
-            raise ValueError("window_cap must be >= 4")
+        it = self.jacobi_iterations
+        if not isinstance(it, numbers.Integral) or isinstance(it, bool) or it < 1:
+            raise ValueError(f"jacobi_iterations must be an integer >= 1, not {it!r}")
         if self.variance_change and (self.model.mu0 is not None or self.model.sigma is not None):
             raise ValueError(
                 "variance_change estimates every segment's mean and variance; "
@@ -203,7 +196,7 @@ class ConditionalTables:
     ``exact`` have ``row_scale`` 0 and are stored whole in ``exact_rows``.
     ``post`` is ones but with known sigma, and ``row_scale`` ones on the
     dense path.  ``last_given_hzero[i]`` is the zero-or-one posterior on the
-    window (lo, n]; ``memo[k, i]`` holds the stored p_last row from step k.
+    whole window; ``memo[k, i]`` holds the stored p_last row from step k.
     """
 
     n: int
@@ -235,13 +228,6 @@ class ConditionalTables:
         if self.exact.size:
             out += p_second[self.exact] @ self.exact_rows
         return out
-
-    def second_row(self, j: int) -> np.ndarray:
-        """Row j of last_given_second, built alone."""
-        hit = np.flatnonzero(self.exact == j)
-        if hit.size:
-            return self.exact_rows[hit[0]]
-        return self.weights[j] * self.post * self.row_scale[j]
 
 
 #: B, the rows per block of a step's triangular matrix-vector products.
@@ -374,7 +360,6 @@ def build_conditional_tables(
     config: CppConfig,
     rng: np.random.Generator,
     floor: float | None,
-    lo: int = 0,
     cache: CssCache | None = None,
     memo: np.ndarray | None = None,
 ) -> ConditionalTables:
@@ -383,12 +368,11 @@ def build_conditional_tables(
     ``prefix`` holds the sums of the series' deviations from a reference
     point, which must be the known mu0 when the config has one; with an
     unknown mean any point serves, and :class:`CppState` takes the first
-    observation.  ``lo`` restricts attention to positions > lo (used by
-    window capping); with lo = 0 the full series is covered.  ``floor`` is
-    the variance floor, which a known-sigma config never reads.  A plug-in
-    config without per-segment variances extends ``cache`` (a fresh one if
-    None) to the prefix.  ``memo`` is the history of p_last rows from steps
-    1..n-1 (empty if None).
+    observation.  ``floor`` is the variance floor, which a known-sigma
+    config never reads.  A plug-in config without per-segment variances
+    extends ``cache`` (a fresh one if None) to the prefix.  ``memo`` is the
+    history of p_last rows from steps 1..n-1 (empty if None).  Every table
+    covers the whole series.
     """
     n = len(prefix)
     S, Q = prefix.arrays()
@@ -398,22 +382,22 @@ def build_conditional_tables(
         m_post = np.arange(float(n), -1.0, -1.0)
         s_post = S[n] - S
         css_post = np.maximum((Q[n] - Q) - s_post * s_post / np.maximum(m_post, 1.0), 0.0)
-        weights = _formula_rows(np.arange(n + 1), slice(None), n, lo, S, Q, css_post, config,
-                                rng, floor)
+        weights = _formula_rows(np.arange(n + 1), slice(None), n, S, Q, css_post, config, rng,
+                                floor)
         post = row_scale = np.ones(n + 1)
         exact, exact_rows = _NO_ROWS, np.zeros((0, n + 1))
     else:
         if cache is None:
             cache = _new_cache(config)
         build = _factored_rows if path == "factored" else _fused_rows
-        weights, post, row_scale, exact, exact_rows = build(n, lo, S, Q, config, floor, cache)
+        weights, post, row_scale, exact, exact_rows = build(n, S, Q, config, floor, cache)
         css_post = cache.css_post
-    c0 = _hzero_posterior(n, lo, S, Q, css_post, config, rng, floor)
+    c0 = _hzero_posterior(n, S, Q, css_post, config, rng, floor)
     memo = np.zeros((0, 0)) if memo is None else memo
     return ConditionalTables(n, c0, weights, post, row_scale, memo, exact, exact_rows)
 
 
-def _formula_rows(rows, cols, n, lo, S, Q, css_post, config: CppConfig, rng, floor):
+def _formula_rows(rows, cols, n, S, Q, css_post, config: CppConfig, rng, floor):
     """Rows ``rows`` of last_given_second on the column slice ``cols`` of
     0..n, from the full split log-likelihood, each normalised over its
     admissible splits.
@@ -433,7 +417,7 @@ def _formula_rows(rows, cols, n, lo, S, Q, css_post, config: CppConfig, rng, flo
     m_post = (n - I).astype(float)
     css_post = css_post[I]
 
-    valid = (J >= max(lo, 1)) & (J <= n - 2) & (I > J) & (I <= n - 1)
+    valid = (J >= 1) & (J <= n - 2) & (I > J) & (I <= n - 1)
     if config.variance_change:
         valid &= (m_pre >= 2) & (m_post >= 2)
         m_post = m_post * np.ones_like(m_pre)
@@ -464,31 +448,29 @@ def _formula_rows(rows, cols, n, lo, S, Q, css_post, config: CppConfig, rng, flo
     return _rowwise_softmax(logw, valid)
 
 
-def _factored_rows(n, lo, S, Q, config: CppConfig, floor, cache: ExpCssCache):
+def _factored_rows(n, S, Q, config: CppConfig, floor, cache: ExpCssCache):
     two_sigma2 = 2.0 * (config.model.sigma * config.model.sigma)
     weights = cache.extend(S, Q)
     css_post = cache.css_post
 
-    # rows j in [first, n-2] use the columns (j, n-1]
-    first = max(lo, 1)
+    # rows j in [1, n-2] use the columns (j, n-1]
     post = np.zeros(n + 1)
     row_scale = np.zeros(n + 1)
     exact, exact_rows = _NO_ROWS, np.zeros((0, n + 1))
-    if first < n - 1:
-        b = css_post[first + 1 : n] / -two_sigma2
+    if n > 2:
+        b = css_post[2:n] / -two_sigma2
         b -= b.max()
-        np.exp(b, out=post[first + 1 : n])
+        np.exp(b, out=post[2:n])
         if n <= _PRODUCT_BLOCK_ROWS:
-            z = weights[first : n - 1] @ post
+            z = weights[1 : n - 1] @ post
         else:
             z = np.concatenate([weights[r0:r1, r0 + 1 :] @ post[r0 + 1 :]
-                                for r0, r1 in _row_blocks(first, n - 1)])
+                                for r0, r1 in _row_blocks(1, n - 1)])
         ok = z >= _MIN_ROW_NORM
-        np.divide(1.0, z, out=row_scale[first : n - 1], where=ok)
+        np.divide(1.0, z, out=row_scale[1 : n - 1], where=ok)
         if not ok.all():
-            exact = np.arange(first, n - 1)[~ok]
-            exact_rows = _formula_rows(exact, slice(None), n, lo, S, Q, css_post, config, None,
-                                       floor)
+            exact = np.arange(1, n - 1)[~ok]
+            exact_rows = _formula_rows(exact, slice(None), n, S, Q, css_post, config, None, floor)
     return weights, post, row_scale, exact, exact_rows
 
 
@@ -498,18 +480,17 @@ def _factored_rows(n, lo, S, Q, config: CppConfig, floor, cache: ExpCssCache):
 _FUSED_BLOCK_ROWS = 64
 
 
-def _fused_rows(n, lo, S, Q, config: CppConfig, floor, cache: CssCache):
+def _fused_rows(n, S, Q, config: CppConfig, floor, cache: CssCache):
     css_pre = cache.extend(S, Q)
     css_post = cache.css_post
     pos = np.arange(n + 1)
 
-    # rows j in [max(lo, 1), n-2] use the columns (j, n-1].  Row j's window (j, n]
+    # rows j in [1, n-2] use the columns (j, n-1].  Row j's window (j, n]
     # has n - j points whatever the split, so with T = css_pre + css_post
     # and s^2 = T / dof above the floor, its log-likelihood is
     # -(n - j) / 2 * log T plus a constant of the row.
     weights = np.zeros((n + 1, n + 1))
     row_scale = np.zeros(n + 1)
-    first = max(lo, 1)
     rows = _FUSED_BLOCK_ROWS
     # A block of rows r0..r1-1 over the columns r0+1..n-1 runs in one
     # contiguous scratch array.  Its cells with i <= j all lie in the leading
@@ -517,10 +498,10 @@ def _fused_rows(n, lo, S, Q, config: CppConfig, floor, cache: CssCache):
     # the row min, to the row min for the divide, and to 0 for the row sum,
     # so no non-finite value reaches a log or an exp.
     below = np.tri(rows, rows, -1, dtype=bool)
-    flat = cache.scratch(rows * (n - first - 1))
+    flat = cache.scratch(rows * (n - 2))
     m_all = (n - pos).astype(float)
     dof_all = np.maximum(m_all - 2.0, 1.0)
-    for r0 in range(first, n - 2, rows):
+    for r0 in range(1, n - 2, rows):
         r1 = min(r0 + rows, n - 2)
         m, dof = m_all[r0:r1], dof_all[r0:r1]
         w = flat[: (r1 - r0) * (n - r0 - 1)].reshape(r1 - r0, n - r0 - 1)
@@ -537,7 +518,7 @@ def _fused_rows(n, lo, S, Q, config: CppConfig, floor, cache: CssCache):
         exact_rows = None
         if floored.any():
             exact_rows = _formula_rows(
-                pos[r0:r1][floored], slice(r0 + 1, n), n, lo, S, Q, css_post, config, None, floor
+                pos[r0:r1][floored], slice(r0 + 1, n), n, S, Q, css_post, config, None, floor
             )
             w[floored] = 1.0
             t_min[floored] = 1.0
@@ -552,7 +533,7 @@ def _fused_rows(n, lo, S, Q, config: CppConfig, floor, cache: CssCache):
             w[floored] = exact_rows
             row_scale[r0:r1][floored] = 1.0
         weights[r0:r1, r0 + 1 : n] = w
-    if n - 2 >= first:
+    if n > 2:
         # the window of row n-2 holds two points, so its one split has weight 1
         weights[n - 2, n - 1] = 1.0
         row_scale[n - 2] = 1.0
@@ -586,56 +567,52 @@ def _loglik_two_variances(m_pre, css_pre, m_post, css_post, floor, draws=None):
     return seg_ll(m_pre, css_pre, chi_pre, z_pre) + seg_ll(m_post, css_post, chi_post, z_post)
 
 
-def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor):
-    """Zero-or-one-changepoint posterior on the window (lo, n].
+def _hzero_posterior(n, S, Q, css_post, config: CppConfig, rng, floor):
+    """Zero-or-one-changepoint posterior on the window (0, n].
 
-    Only the admissible splits i are evaluated: lo < i <= n - 1, or, with
+    Only the admissible splits i are evaluated: 0 < i <= n - 1, or, with
     per-segment variances, the splits that leave each segment two points.
     ``css_post[i]`` is css(i, n), which the table build already has, so a
-    step costs O(n - lo).  With a known mu0 the prefix sums are taken about
-    it, so the squared deviations from mu0 of (lo, i] and of the window are
-    differences of Q.  Posterior sampling draws one value per position 0..n
-    and keeps the splits, so the generator advances as it would over the
-    whole series; it adds s2 times a squared normal draw to a css.
+    step costs O(n).  With a known mu0 the prefix sums are taken about it,
+    so the squared deviations from mu0 of (0, i] and of the window are
+    prefix sums.  Posterior sampling draws one value per position 0..n and
+    keeps the splits, so the generator advances as it would over the whole
+    series; it adds s2 times a squared normal draw to a css.
     """
     model = config.model
     sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
-    m_win = n - lo
     c0 = np.zeros(n + 1)
-    if m_win < 1:
-        return c0
 
-    # splits a <= i < b: the segments (lo, i] and (i, n] hold m0 and m1 points
-    a, b = (lo + 2, n - 1) if config.variance_change else (lo + 1, n)
+    # splits a <= i < b: the segments (0, i] and (i, n] hold m0 and m1 points
+    a, b = (2, n - 1) if config.variance_change else (1, n)
     css1 = css_post[a:b]
     if model.sigma is None or model.mu0 is None:
-        # css of (lo, i] and of the window, for a variance estimate or an unknown mean
-        m0 = np.arange(float(a - lo), float(b - lo))
-        s0 = S[a:b] - S[lo]
-        css0 = np.maximum((Q[a:b] - Q[lo]) - s0 * s0 / m0, 0.0)
-        w_s = S[n] - S[lo]
-        w_css = max((Q[n] - Q[lo]) - w_s * w_s / m_win, 0.0)
-    dof_w = max(m_win - 1.0, 1.0)
+        # css of (0, i] and of the window, for a variance estimate or an unknown mean
+        m0 = np.arange(float(a), float(b))
+        s0 = S[a:b]
+        css0 = np.maximum(Q[a:b] - s0 * s0 / m0, 0.0)
+        w_css = max(Q[n] - S[n] * S[n] / n, 0.0)
+    dof_w = max(n - 1.0, 1.0)
 
     if config.variance_change:
         draws = None
         if sample:
             pos = np.arange(n + 1.0)
             draws = _two_variance_draws(
-                rng, np.maximum(pos - lo - 1.0, 1.0), np.maximum(n - pos - 1.0, 1.0), n + 1
+                rng, np.maximum(pos - 1.0, 1.0), np.maximum(n - pos - 1.0, 1.0), n + 1
             )
             draws = tuple(d[a:b] for d in draws)
-        split_ll = _loglik_two_variances(m0, css0, m_win - m0, css1, floor, draws)
+        split_ll = _loglik_two_variances(m0, css0, n - m0, css1, floor, draws)
     elif model.sigma is not None:
         s2 = model.sigma * model.sigma
     else:
-        dof = max(m_win - 2.0, 1.0)
+        dof = max(n - 2.0, 1.0)
         chi = np.maximum(rng.chisquare(dof, n + 1)[a:b], 1e-300) if sample else dof
         s2 = np.maximum((css0 + css1) / chi, floor)
     s2w = s2 if model.sigma is not None else max(
         w_css / rng.chisquare(dof_w) if sample else w_css / dof_w, floor)
     if model.mu0 is not None:
-        quad0, quad_w = Q[a:b] - Q[lo], Q[n] - Q[lo]
+        quad0, quad_w = Q[a:b], Q[n]
     elif sample:
         if not config.variance_change:
             quad0 = css0 + s2 * rng.standard_normal(n + 1)[a:b] ** 2
@@ -644,16 +621,16 @@ def _hzero_posterior(n, lo, S, Q, css_post, config: CppConfig, rng, floor):
         quad0, quad_w = css0, w_css
     if not config.variance_change:
         quad1 = css1 + s2 * rng.standard_normal(n + 1)[a:b] ** 2 if sample else css1
-        split_ll = _gauss_loglik(m_win, np.log(s2), s2, quad0 + quad1)
-    h0_ll = _gauss_loglik(m_win, math.log(s2w), s2w, quad_w)
+        split_ll = _gauss_loglik(n, np.log(s2), s2, quad0 + quad1)
+    h0_ll = _gauss_loglik(n, math.log(s2w), s2w, quad_w)
 
     if b <= a:
         return c0
-    # prior f (1 - f)^(m_win - 1) per split, (1 - f)^m_win for no change
+    # prior f (1 - f)^(n - 1) per split, (1 - f)^n for no change
     f = model.change_prior_f
     logw = np.empty(b - a + 1)
-    logw[0] = m_win * math.log1p(-f) + h0_ll
-    np.add(split_ll, math.log(f) + (m_win - 1) * math.log1p(-f), out=logw[1:])
+    logw[0] = n * math.log1p(-f) + h0_ll
+    np.add(split_ll, math.log(f) + (n - 1) * math.log1p(-f), out=logw[1:])
     logw -= logw.max()
     np.exp(logw, out=logw)
     logw /= logw.sum()
@@ -770,10 +747,10 @@ def _unpack(doc: dict, name: str, size: int | None = None) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").astype(float)
 
 
-def _probabilities(name: str, values, top: float = 1.0):
-    """``values`` if every one is finite and in [0, ``top``]; else a ValueError."""
-    if not (np.isfinite(values) & (values >= 0.0) & (values <= top)).all():
-        raise ValueError(f"snapshot {name!r} holds a non-finite value or one outside [0, {top:g}]")
+def _probabilities(name: str, values):
+    """``values`` if every one is finite and in [0, 1]; else a ValueError."""
+    if not (np.isfinite(values) & (values >= 0.0) & (values <= 1.0)).all():
+        raise ValueError(f"snapshot {name!r} holds a non-finite value or one outside [0, 1]")
     return values
 
 
@@ -807,12 +784,6 @@ class CppState:
         n, (S, Q) = self.n, self.prefix.arrays()
         return variance_floor(max(Q[n] - S[n] * S[n] / n, 0.0) / (n - 1) if n >= 2 else None)
 
-    def _active_lo(self) -> int:
-        cap = self.config.window_cap
-        if cap is None:
-            return 0
-        return max(0, self.n - cap)
-
     def _append_prefix(self, x: float) -> None:
         """Add x's deviation from the reference point to the prefix sums."""
         if not math.isfinite(x):
@@ -837,11 +808,10 @@ class CppState:
             self.history.append(self.p_last)
             return
 
-        lo = self._active_lo()
         # only an estimated sigma reads the variance floor
         floor = self._floor() if self.config.model.sigma is None else None
         tables = build_conditional_tables(
-            self.prefix, self.config, self.rng, floor, lo=lo, cache=self._cache,
+            self.prefix, self.config, self.rng, floor, cache=self._cache,
             memo=self.history.matrix(n - 1),
         )
 
@@ -850,20 +820,8 @@ class CppState:
         ps = np.zeros(n + 1)
         pl[:n] = self.p_last
         ps[:n] = self.p_second
-        if lo > 0:
-            frozen_last = pl[: lo + 1].copy()
-            frozen_second = ps[: lo + 1].copy()
-            bucket = float(frozen_second.sum())
         for _ in range(self.config.jacobi_iterations):
             pl, ps, ph = jacobi_step(pl, ps, tables)
-            if lo > 0:
-                # frozen hypotheses keep their mass; the aggregated old
-                # second-changepoint mass feeds p_last via the oldest
-                # computable conditional row
-                pl += tables.second_row(lo) * bucket
-                pl[: lo + 1] = frozen_last
-                ps[: lo + 1] = frozen_second
-                ph = _unit(1.0 - float(ps.sum()))
         self.p_last, self.p_second, self.p_hzero = pl, ps, ph
         self.history.append(pl)
 
@@ -904,7 +862,6 @@ class CppState:
                 "jacobi_iterations": cfg.jacobi_iterations,
                 "estimation_mode": cfg.estimation_mode.value,
                 "variance_change": cfg.variance_change,
-                "window_cap": cfg.window_cap,
             },
             "posterior_rows": _pack(self.history.packed()),
             "p_last": _pack(self.p_last[1:]),
@@ -918,9 +875,10 @@ class CppState:
     def from_json(cls, text: str) -> "CppState":
         """Restore a :meth:`to_json` snapshot.  Raises ValueError on another
         snapshot format, on vectors whose lengths do not match the series, on
-        a non-finite value or a probability outside [0, 1] (p_last may exceed
-        1 once a window_cap binds), and on a p_last or p_hzero that disagrees
-        with the history or p_second it duplicates."""
+        a non-finite value or a probability outside [0, 1], and on a p_last or
+        p_hzero that disagrees with the history or p_second it duplicates.
+        Older snapshots may record a ``floor_scale`` or a ``window_cap``; they
+        load only if it holds the default scale or null."""
         doc = json.loads(text)
         if doc.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(
@@ -934,6 +892,10 @@ class CppState:
                 f"snapshot floor_scale {c['floor_scale']!r} is not supported; "
                 f"expected {DEFAULT_FLOOR_SCALE}"
             )
+        # and whether a window cap froze old hypotheses; the cap is gone, and no cap is null
+        if c.get("window_cap") is not None:
+            raise ValueError(f"snapshot window_cap {c['window_cap']!r} is not supported; "
+                             "expected null")
         config = CppConfig(
             model=SingleCpModel(
                 mu0=c["mu0"], sigma=c["sigma"], change_prior_f=c["change_prior_f"]
@@ -941,7 +903,6 @@ class CppState:
             jacobi_iterations=c["jacobi_iterations"],
             estimation_mode=EstimationMode(c["estimation_mode"]),
             variance_change=c["variance_change"],
-            window_cap=c["window_cap"],
         )
         state = cls(config=config)
         state.rng.bit_generator.state = doc["rng_state"]
@@ -949,12 +910,9 @@ class CppState:
         n = state.n
         for x in state.series:
             state._append_prefix(x)  # rejects a non-finite series
-        # a binding window_cap does not conserve probability, so its p_last
-        # entries can exceed 1
-        top = math.inf if config.window_cap is not None and n > config.window_cap else 1.0
         rows = _unpack(doc, "posterior_rows", n * (n + 1) // 2)
-        state.history = PosteriorMatrix.from_packed(_probabilities("posterior_rows", rows, top), n)
-        p_last = _probabilities("p_last", _unpack(doc, "p_last", n), top)
+        state.history = PosteriorMatrix.from_packed(_probabilities("posterior_rows", rows), n)
+        p_last = _probabilities("p_last", _unpack(doc, "p_last", n))
         state.p_last = np.concatenate([[0.0], p_last])
         p_second = _probabilities("p_second", _unpack(doc, "p_second", n))
         state.p_second = np.concatenate([[0.0], p_second])

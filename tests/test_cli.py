@@ -131,13 +131,12 @@ class TestDetectCommand:
         [
             (["--variance-change", "--mu0", "0"], "variance_change"),
             (["--variance-change", "--sigma", "1"], "variance_change"),
-            (["--window-cap", "2"], "window_cap"),
             (["--jacobi-iterations", "0"], "jacobi_iterations"),
             (["--sigma", "nan"], "sigma must be"),
             (["--mu0", "0", "--sigma", "1e160"], "sigma=1e+160 squares to inf"),
             (["--mu0", "0", "--sigma", "1e-170"], "sigma=1e-170 squares to 0.0"),
         ],
-        ids=["variance-change-mu0", "variance-change-sigma", "window-cap", "jacobi", "sigma-nan",
+        ids=["variance-change-mu0", "variance-change-sigma", "jacobi", "sigma-nan",
              "sigma-square-overflows", "sigma-square-underflows"],
     )
     def test_config_the_kernel_rejects_is_usage_error(self, tmp_path, capsys, flags, message):
@@ -147,6 +146,14 @@ class TestDetectCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_window_cap_is_an_unrecognized_argument(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("value\n1.0\n2.0\n3.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", str(path), "--window-cap", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --window-cap 10" in capsys.readouterr().err
 
     def test_overflowing_series_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "s.csv"

@@ -24,7 +24,7 @@ def perf(monkeypatch):
 
 def test_observe_table_covers_every_mode(perf):
     table = perf.observe_table(sizes=(10, 20), steps=4)
-    assert set(table) == {"known", "estimated", "sample", "variance_change", "capped"}
+    assert set(table) == {"known", "estimated", "sample", "variance_change"}
     for row in table.values():
         assert set(row) == {"10", "20"}
         assert all(ms > 0 for ms in row.values())
