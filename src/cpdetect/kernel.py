@@ -56,6 +56,12 @@ whole before the factored cache takes its exp, and the dense path computes
 it from the prefix sums.  The zero-or-one posterior P(i | fewer than two)
 reads that vector and evaluates only the admissible splits: O(n) per step.
 
+The dense rows, the rows stored whole and the zero-or-one posterior score
+splits with one function, :func:`_split_loglik`.  Sampling, it draws the
+variance's chi-square, then a normal per segment of unknown mean, pre-change
+first (per-segment variances: the pre-change chi-square and normal, then the
+post-change ones); the zero-or-one posterior's no-change draws come last.
+
 The prefix sums are taken about a reference point, the known mu0 or else the
 first observation (Chan, Golub & LeVeque 1983): a sum of squares Q - S^2 / m
 then cancels only as far as the data spread about that point, and with a known
@@ -171,6 +177,11 @@ class CppConfig:
         it = self.jacobi_iterations
         if not isinstance(it, numbers.Integral) or isinstance(it, bool) or it < 1:
             raise ValueError(f"jacobi_iterations must be an integer >= 1, not {it!r}")
+        if not isinstance(self.estimation_mode, EstimationMode):
+            raise ValueError(f"estimation_mode must be an EstimationMode, "
+                             f"not {self.estimation_mode!r}")
+        if not isinstance(self.variance_change, bool):
+            raise ValueError(f"variance_change must be a bool, not {self.variance_change!r}")
         if self.variance_change and (self.model.mu0 is not None or self.model.sigma is not None):
             raise ValueError(
                 "variance_change estimates every segment's mean and variance; "
@@ -399,52 +410,21 @@ def build_conditional_tables(
 
 def _formula_rows(rows, cols, n, S, Q, css_post, config: CppConfig, rng, floor):
     """Rows ``rows`` of last_given_second on the column slice ``cols`` of
-    0..n, from the full split log-likelihood, each normalised over its
-    admissible splits.
-
-    Posterior sampling draws arrays of shape (len(rows), number of columns),
-    so the dense build, which asks for every row and column, draws
-    (n+1) x (n+1).
+    0..n: :func:`_split_loglik` on each row's window (j, n], normalised over
+    its admissible splits.  Posterior sampling draws arrays of shape
+    (len(rows), number of columns), (n+1) x (n+1) for the dense build.
     """
-    model = config.model
-    sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
     J = rows[:, None]
     I = np.arange(n + 1)[None, cols]
-    # pre-change segment (j, i] and post-change segment (i, n] per (j, i)
+    # pre-change segment (j, i] per (j, i); the post-change one is (i, n]
     m_pre = (I - J).astype(float)
     s_pre = S[I] - S[J]
     css_pre = np.maximum((Q[I] - Q[J]) - s_pre * s_pre / np.maximum(m_pre, 1.0), 0.0)
-    m_post = (n - I).astype(float)
-    css_post = css_post[I]
 
     valid = (J >= 1) & (J <= n - 2) & (I > J) & (I <= n - 1)
     if config.variance_change:
-        valid &= (m_pre >= 2) & (m_post >= 2)
-        m_post = m_post * np.ones_like(m_pre)
-        draws = None
-        if sample:
-            draws = _two_variance_draws(
-                rng, np.maximum(m_pre - 1.0, 1.0), np.maximum(m_post - 1.0, 1.0), m_pre.shape
-            )
-        logw = _loglik_two_variances(m_pre, css_pre, m_post, css_post, floor, draws)
-    elif model.sigma is not None:
-        sigma2 = model.sigma * model.sigma
-        quad_pre, quad_post = css_pre, css_post
-        if sample:
-            quad_pre = quad_pre + sigma2 * rng.standard_normal(m_pre.shape) ** 2
-            quad_post = quad_post + sigma2 * rng.standard_normal(m_pre.shape) ** 2
-        logw = _gauss_loglik(m_pre + m_post, math.log(sigma2), sigma2, quad_pre + quad_post)
-    else:
-        m_win = m_pre + m_post
-        dof = np.maximum(m_win - 2.0, 1.0)
-        quad = css_pre + css_post
-        chi = np.maximum(rng.chisquare(dof), 1e-300) if sample else dof
-        s2 = np.maximum(quad / chi, floor)
-        if sample:
-            quad = quad + s2 * (
-                rng.standard_normal(s2.shape) ** 2 + rng.standard_normal(s2.shape) ** 2
-            )
-        logw = _gauss_loglik(m_win, np.log(s2), s2, quad)
+        valid &= (m_pre >= 2) & (n - I >= 2)
+    logw = _split_loglik((n - J).astype(float), m_pre, css_pre, css_post[I], config, rng, floor)
     return _rowwise_softmax(logw, valid)
 
 
@@ -540,97 +520,92 @@ def _fused_rows(n, S, Q, config: CppConfig, floor, cache: CssCache):
     return weights, np.ones(n + 1), row_scale, _NO_ROWS, np.zeros((0, n + 1))
 
 
-def _two_variance_draws(rng, dof_pre, dof_post, shape):
-    """Posterior-sampling draws for :func:`_loglik_two_variances`: per
-    segment, chi-square draws with the segment's degrees of freedom, then
-    standard normals of ``shape``."""
-    return (
-        rng.chisquare(dof_pre), rng.standard_normal(shape),
-        rng.chisquare(dof_post), rng.standard_normal(shape),
-    )
+def _split_loglik(m_win, m_pre, css_pre, css_post, config: CppConfig, rng, floor,
+                  quad_pre=None):
+    """Log-likelihood of a window of ``m_win`` points split after its first ``m_pre``.
 
-
-def _loglik_two_variances(m_pre, css_pre, m_post, css_post, floor, draws=None):
-    """Split log-likelihood with separately estimated variance per segment.
-
-    ``draws`` is None for plug-in estimates, or the output of
-    :func:`_two_variance_draws` for posterior sampling.
+    ``css_pre`` and ``css_post`` are the segments' centred sums of squares;
+    ``quad_pre``, when given, is the pre-change segment's squared deviations
+    from a known mu0, and with a known sigma ``m_pre`` and ``css_pre`` then
+    go unread.  The variance is sigma^2 if known, else one pooled estimate
+    with m_win - 2 degrees of freedom or, with per-segment variances, one
+    per segment with m - 1; each estimate is floored.  The arguments
+    broadcast to the shape of the result.  Posterior sampling draws arrays
+    of that shape: the variance's chi-square, which replaces its degrees of
+    freedom, then a normal z per segment of unknown mean, pre-change first,
+    which adds s2 z^2 to its css; with per-segment variances, the pre-change
+    segment's chi-square and normal, then the post-change segment's.
     """
-    chi_pre, z_pre, chi_post, z_post = (None,) * 4 if draws is None else draws
+    sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
+    if sample:
+        shape = np.broadcast_shapes(np.shape(m_win), np.shape(m_pre), np.shape(css_post))
 
-    def seg_ll(m, css, chi, z):
-        s2 = css / (np.maximum(m - 1.0, 1.0) if chi is None else np.maximum(chi, 1e-300))
-        s2 = np.maximum(s2, floor)
-        quad = css if z is None else css + s2 * z**2
-        return _gauss_loglik(m, np.log(s2), s2, quad)
+    def variance(css, dof):
+        chi = np.maximum(rng.chisquare(dof, shape), 1e-300) if sample else dof
+        return np.maximum(css / chi, floor)
 
-    return seg_ll(m_pre, css_pre, chi_pre, z_pre) + seg_ll(m_post, css_post, chi_post, z_post)
+    def quad(css, s2):
+        return css + s2 * rng.standard_normal(shape) ** 2 if sample else css
+
+    if config.variance_change:
+        def segment(m, css):
+            s2 = variance(css, np.maximum(m - 1.0, 1.0))
+            return _gauss_loglik(m, np.log(s2), s2, quad(css, s2))
+
+        return segment(m_pre, css_pre) + segment(m_win - m_pre, css_post)
+    if config.model.sigma is not None:
+        s2 = config.model.sigma * config.model.sigma
+        log_s2 = math.log(s2)
+    else:
+        s2 = variance(css_pre + css_post, np.maximum(m_win - 2.0, 1.0))
+        log_s2 = np.log(s2)
+    quad_pre = quad(css_pre, s2) if quad_pre is None else quad_pre
+    return _gauss_loglik(m_win, log_s2, s2, quad_pre + quad(css_post, s2))
 
 
 def _hzero_posterior(n, S, Q, css_post, config: CppConfig, rng, floor):
     """Zero-or-one-changepoint posterior on the window (0, n].
 
-    Only the admissible splits i are evaluated: 0 < i <= n - 1, or, with
-    per-segment variances, the splits that leave each segment two points.
-    ``css_post[i]`` is css(i, n), which the table build already has, so a
-    step costs O(n).  With a known mu0 the prefix sums are taken about it,
-    so the squared deviations from mu0 of (0, i] and of the window are
-    prefix sums.  Posterior sampling draws one value per position 0..n and
-    keeps the splits, so the generator advances as it would over the whole
-    series; it adds s2 times a squared normal draw to a css.
+    :func:`_split_loglik` scores a split at every position 0..n, reading
+    css(i, n) from ``css_post``, which the table build already has, so a
+    step costs O(n); the admissible splits, 0 < i < n or with per-segment
+    variances 2 <= i <= n - 2, are kept.  With a known mu0 the squared
+    deviations from it of (0, i] and of the window are prefix sums.
+    Posterior sampling draws the no-change hypothesis's scalars after the
+    splits' arrays: a chi-square if sigma is estimated, a normal if the mean is.
     """
     model = config.model
     sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
-    c0 = np.zeros(n + 1)
-
-    # splits a <= i < b: the segments (0, i] and (i, n] hold m0 and m1 points
-    a, b = (2, n - 1) if config.variance_change else (1, n)
-    css1 = css_post[a:b]
+    # the segments (0, i]: their sizes and css, the window's at i = n, are
+    # read only for a variance estimate or an unknown mean
+    m_pre = css_pre = None
     if model.sigma is None or model.mu0 is None:
-        # css of (0, i] and of the window, for a variance estimate or an unknown mean
-        m0 = np.arange(float(a), float(b))
-        s0 = S[a:b]
-        css0 = np.maximum(Q[a:b] - s0 * s0 / m0, 0.0)
-        w_css = max(Q[n] - S[n] * S[n] / n, 0.0)
-    dof_w = max(n - 1.0, 1.0)
+        m_pre = np.arange(n + 1.0)
+        css_pre = np.maximum(Q - S * S / np.maximum(m_pre, 1.0), 0.0)
+    quad_pre = None if model.mu0 is None else Q
+    split_ll = _split_loglik(n, m_pre, css_pre, css_post, config, rng, floor, quad_pre)
 
-    if config.variance_change:
-        draws = None
-        if sample:
-            pos = np.arange(n + 1.0)
-            draws = _two_variance_draws(
-                rng, np.maximum(pos - 1.0, 1.0), np.maximum(n - pos - 1.0, 1.0), n + 1
-            )
-            draws = tuple(d[a:b] for d in draws)
-        split_ll = _loglik_two_variances(m0, css0, n - m0, css1, floor, draws)
-    elif model.sigma is not None:
-        s2 = model.sigma * model.sigma
+    # no change: the one segment (0, n]
+    if model.sigma is not None:
+        s2w = model.sigma * model.sigma
     else:
-        dof = max(n - 2.0, 1.0)
-        chi = np.maximum(rng.chisquare(dof, n + 1)[a:b], 1e-300) if sample else dof
-        s2 = np.maximum((css0 + css1) / chi, floor)
-    s2w = s2 if model.sigma is not None else max(
-        w_css / rng.chisquare(dof_w) if sample else w_css / dof_w, floor)
-    if model.mu0 is not None:
-        quad0, quad_w = Q[a:b], Q[n]
-    elif sample:
-        if not config.variance_change:
-            quad0 = css0 + s2 * rng.standard_normal(n + 1)[a:b] ** 2
-        quad_w = w_css + s2w * rng.standard_normal() ** 2
-    else:
-        quad0, quad_w = css0, w_css
-    if not config.variance_change:
-        quad1 = css1 + s2 * rng.standard_normal(n + 1)[a:b] ** 2 if sample else css1
-        split_ll = _gauss_loglik(n, np.log(s2), s2, quad0 + quad1)
+        dof_w = max(n - 1.0, 1.0)
+        s2w = max(css_pre[n] / (rng.chisquare(dof_w) if sample else dof_w), floor)
+    quad_w = Q[n] if model.mu0 is not None else css_pre[n]
+    if model.mu0 is None and sample:
+        quad_w += s2w * rng.standard_normal() ** 2
     h0_ll = _gauss_loglik(n, math.log(s2w), s2w, quad_w)
 
+    # splits a <= i < b
+    a, b = (2, n - 1) if config.variance_change else (1, n)
+    c0 = np.zeros(n + 1)
     if b <= a:
         return c0
     # prior f (1 - f)^(n - 1) per split, (1 - f)^n for no change
     f = model.change_prior_f
     logw = np.empty(b - a + 1)
     logw[0] = n * math.log1p(-f) + h0_ll
-    np.add(split_ll, math.log(f) + (n - 1) * math.log1p(-f), out=logw[1:])
+    np.add(split_ll[a:b], math.log(f) + (n - 1) * math.log1p(-f), out=logw[1:])
     logw -= logw.max()
     np.exp(logw, out=logw)
     logw /= logw.sum()

@@ -9,7 +9,8 @@ explicit Gaussian parameters:
 * the exactly-one and zero-or-one changepoint posteriors of one window, with
   a common variance (row j of the kernel's tables is the exactly-one
   posterior on the suffix window after j);
-* the exactly-one posterior with a separate mean and variance per segment;
+* the exactly-one and zero-or-one posteriors with a separate mean and
+  variance per segment;
 * ``run_trial``, one benchmark trial at one threshold, which the harness's
   single-pass threshold sweep must reproduce.
 
@@ -346,17 +347,59 @@ def posterior_exactly_one_var(
         raise InsufficientDataError("need at least 4 points (2 per segment)")
     logw = np.full(n - 1, -np.inf)
     for i in range(2, n - 1):
-        pre_stats = GaussianSegmentStats.from_data(window[:i])
-        post_stats = GaussianSegmentStats.from_data(window[i:])
-        pre = estimate_draw(pre_stats, mode, rng=rng, floor=floor)
-        post = estimate_draw(post_stats, mode, rng=rng, floor=floor)
-        logw[i - 1] = log_likelihood_segment(
-            pre_stats, GaussianParams(pre.mu, math.sqrt(pre.sigma2))
-        ) + log_likelihood_segment(post_stats, GaussianParams(post.mu, math.sqrt(post.sigma2)))
+        logw[i - 1] = _split_log_likelihood_var(window, i, mode, rng, floor)
     values = np.zeros(n - 1)
     finite = np.isfinite(logw)
     values[finite] = _normalize_log_weights(logw[finite])
     return ProbabilityVector(values=values, start=start)
+
+
+def posterior_zero_or_one_var(
+    window,
+    mode: EstimationMode = EstimationMode.PLUG_IN,
+    rng: np.random.Generator | None = None,
+    floor: float = DEFAULT_FLOOR_SCALE,
+) -> tuple[float, ProbabilityVector]:
+    """Posterior over {no changepoint} + every split, with per-segment mean
+    and variance.
+
+    The splits are those of :func:`posterior_exactly_one_var`, [2, n-2],
+    and the priors those of :func:`posterior_zero_or_one` with the default
+    change prior; the no-change hypothesis estimates the window's mean and
+    variance.  Returns (p_none, vector); the vector is aligned with
+    positions 1..n-1 and carries zero outside the splits.
+    """
+    window = np.asarray(window, dtype=float)
+    n = len(window)
+    if n < 4:
+        raise InsufficientDataError("need at least 4 points (2 per segment)")
+    model = SingleCpModel()
+    f = model.change_prior_f
+    logw = np.full(n, -np.inf)
+    logw[0] = n * math.log1p(-f) + _no_change_log_likelihood(window, model, mode, rng, floor)
+    for i in range(2, n - 1):
+        logw[i] = (math.log(f) + (n - 1) * math.log1p(-f)
+                   + _split_log_likelihood_var(window, i, mode, rng, floor))
+    probs = _normalize_log_weights(logw)
+    return float(probs[0]), ProbabilityVector(values=probs[1:])
+
+
+def _split_log_likelihood_var(
+    window: np.ndarray,
+    i: int,
+    mode: EstimationMode,
+    rng: np.random.Generator | None,
+    floor: float,
+) -> float:
+    """Log-likelihood of the window split at i, each segment with the mean
+    and variance estimated (or drawn) from it alone."""
+    pre_stats = GaussianSegmentStats.from_data(window[:i])
+    post_stats = GaussianSegmentStats.from_data(window[i:])
+    pre = estimate_draw(pre_stats, mode, rng=rng, floor=floor)
+    post = estimate_draw(post_stats, mode, rng=rng, floor=floor)
+    return log_likelihood_segment(
+        pre_stats, GaussianParams(pre.mu, math.sqrt(pre.sigma2))
+    ) + log_likelihood_segment(post_stats, GaussianParams(post.mu, math.sqrt(post.sigma2)))
 
 
 # -- one benchmark trial ---------------------------------------------------

@@ -572,6 +572,18 @@ class TestConfigRejection:
         with pytest.raises(ValueError, match="jacobi_iterations"):
             CppConfig(model=KNOWN, jacobi_iterations=value)
 
+    @pytest.mark.parametrize("value", ["sample", "plugin", None],
+                             ids=["sample", "plugin", "none"])
+    def test_rejects_an_estimation_mode_that_is_not_an_estimation_mode(self, value):
+        with pytest.raises(ValueError, match="estimation_mode"):
+            CppConfig(model=KNOWN, estimation_mode=value)
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, np.bool_(True), None],
+                             ids=["string", "one", "zero", "numpy-bool", "none"])
+    def test_rejects_a_variance_change_that_is_not_a_bool(self, value):
+        with pytest.raises(ValueError, match="variance_change"):
+            CppConfig(variance_change=value)
+
     def test_accepts_a_numpy_integer_jacobi_iterations(self):
         xs = two_shift_stream(12, 2)
         state = run_series(xs, jacobi_iterations=np.int64(2))

@@ -5,7 +5,7 @@ import pytest
 
 from cpdetect.gaussian_stats import EstimationMode, PrefixStats
 from cpdetect.kernel import CppConfig, CppState, SingleCpModel, build_conditional_tables
-from oracles import InsufficientDataError, posterior_exactly_one_var
+from oracles import InsufficientDataError, posterior_exactly_one_var, posterior_zero_or_one_var
 
 
 class TestPosteriorExactlyOneVar:
@@ -129,7 +129,8 @@ class TestKernelWithVarianceChange:
 
     def test_tables_match_posterior_exactly_one_var(self):
         # row j of the kernel's table is the per-segment-variance posterior
-        # on the suffix window (j, n], which needs at least 4 points
+        # on the suffix window (j, n], which needs at least 4 points, and
+        # last_given_hzero the zero-or-one posterior on the whole window
         config = CppConfig(model=SingleCpModel(), variance_change=True)
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -142,3 +143,6 @@ class TestKernelWithVarianceChange:
                 np.testing.assert_allclose(
                     tables.last_given_second[j, j + 1 : n], ref.values, rtol=0, atol=1e-9
                 )
+            _, ref = posterior_zero_or_one_var(xs, floor=floor)
+            np.testing.assert_allclose(tables.last_given_hzero[1:n], ref.values, rtol=0, atol=1e-9)
+            assert tables.last_given_hzero[0] == tables.last_given_hzero[n] == 0.0
