@@ -538,7 +538,7 @@ def _split_loglik(m_win, m_pre, css_pre, css_post, config: CppConfig, rng, floor
     """
     sample = config.estimation_mode is EstimationMode.POSTERIOR_SAMPLE
     if sample:
-        shape = np.broadcast_shapes(np.shape(m_win), np.shape(m_pre), np.shape(css_post))
+        shape = np.broadcast(m_win, m_pre, css_post).shape
 
     def variance(css, dof):
         chi = np.maximum(rng.chisquare(dof, shape), 1e-300) if sample else dof
