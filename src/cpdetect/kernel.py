@@ -72,11 +72,12 @@ above B = ``_PRODUCT_BLOCK_ROWS`` points each matrix-vector product reads only
 the filled triangle, in blocks of B rows: about n^2 / 2 + n B / 2 cells, not (n + 1)^2.
 Up to B points, each is one product over the whole operand.
 
+The state stores p_second and the history of every P_k; p_last is the
+newest history row and p_hzero is 1 - sum(p_second), clamped to [0, 1].
 A snapshot (:meth:`CppState.to_json`) is one JSON object.  The series,
-p_last, p_second and the history of every P_k, n(n+1)/2 values, are base64
-strings of little-endian float64: about 10.7 bytes per history entry, and a
-restore is bit-exact.  Snapshots of any other format, such as the older
-one that wrote JSON lists, are rejected.
+p_second and the history, n(n+1)/2 values, are base64 strings of
+little-endian float64: about 10.7 bytes per history entry, and a restore is
+bit-exact.  Snapshots of any other format are rejected.
 """
 
 from __future__ import annotations
@@ -89,13 +90,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_stats import (
-    DEFAULT_FLOOR_SCALE,
-    LOG_2PI,
-    EstimationMode,
-    PrefixStats,
-    variance_floor,
-)
+from .gaussian_stats import LOG_2PI, EstimationMode, PrefixStats, variance_floor
 
 
 @dataclass(frozen=True)
@@ -702,7 +697,7 @@ class PosteriorMatrix:
 
 
 #: Version of the :meth:`CppState.to_json` snapshot layout.
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 
 
 def _pack(values) -> str:
@@ -710,10 +705,20 @@ def _pack(values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
+def _field(doc: dict, name: str, *types):
+    """``doc[name]``, whose JSON type must be one of ``types``; else a ValueError."""
+    if name not in doc:
+        raise ValueError(f"snapshot has no {name!r}")
+    if type(doc[name]) not in types:
+        raise ValueError(f"snapshot {name!r} is {type(doc[name]).__name__}, not "
+                         + " or ".join(t.__name__ for t in types))
+    return doc[name]
+
+
 def _unpack(doc: dict, name: str, size: int | None = None) -> np.ndarray:
     """The float64 values that :func:`_pack` wrote as ``doc[name]``; a
     ValueError unless there are ``size`` of them (when given)."""
-    data = base64.b64decode(doc[name], validate=True)
+    data = base64.b64decode(_field(doc, name, str), validate=True)
     expected = len(data) // 8 if size is None else size
     if len(data) != 8 * expected:
         raise ValueError(
@@ -730,20 +735,17 @@ def _probabilities(name: str, values):
 
 
 class CppState:
-    """Full incremental detector state; feed points with :meth:`observe`."""
+    """Full incremental detector state; feed points with :meth:`observe`.
+    ``rng`` is anything :func:`numpy.random.default_rng` takes."""
 
     def __init__(self, config: CppConfig | None = None, rng=None):
         self.config = config if config is not None else CppConfig()
-        if isinstance(rng, (int, np.integer)) or rng is None:
-            rng = np.random.default_rng(rng)
-        self.rng = rng
+        self.rng = np.random.default_rng(rng)
         self.series: list[float] = []
         self.prefix = PrefixStats()  # sums of x - _ref, mu0 or else the first x
         self._ref = self.config.model.mu0
         self.history = PosteriorMatrix()
-        self.p_last = np.zeros(1)
         self.p_second = np.zeros(1)
-        self.p_hzero = 1.0
         # not serialized: a function of the series, which the first observe
         # after a restore refills
         self._cache = _new_cache(self.config)
@@ -753,6 +755,17 @@ class CppState:
     @property
     def n(self) -> int:
         return len(self.series)
+
+    @property
+    def p_last(self) -> np.ndarray:
+        """P_n(i) for i = 0..n, the newest history row, as a read-only view."""
+        k = len(self.history)
+        return self.history.matrix(k)[k]
+
+    @property
+    def p_hzero(self) -> float:
+        """The probability that fewer than two changepoints occurred."""
+        return _unit(1.0 - float(self.p_second.sum()))
 
     def _floor(self) -> float:
         """The variance floor for the sample variance of the series."""
@@ -777,10 +790,8 @@ class CppState:
         self.series.append(x)
         n = self.n
         if n == 1:
-            self.p_last = np.zeros(2)
             self.p_second = np.zeros(2)
-            self.p_hzero = 1.0
-            self.history.append(self.p_last)
+            self.history.append(np.zeros(2))
             return
 
         # only an estimated sigma reads the variance floor
@@ -796,8 +807,8 @@ class CppState:
         pl[:n] = self.p_last
         ps[:n] = self.p_second
         for _ in range(self.config.jacobi_iterations):
-            pl, ps, ph = jacobi_step(pl, ps, tables)
-        self.p_last, self.p_second, self.p_hzero = pl, ps, ph
+            pl, ps, _ = jacobi_step(pl, ps, tables)
+        self.p_second = ps
         self.history.append(pl)
 
     # -- queries -------------------------------------------------------
@@ -839,62 +850,49 @@ class CppState:
                 "variance_change": cfg.variance_change,
             },
             "posterior_rows": _pack(self.history.packed()),
-            "p_last": _pack(self.p_last[1:]),
             "p_second": _pack(self.p_second[1:]),
-            "p_hzero": self.p_hzero,
             "rng_state": self.rng.bit_generator.state,
         }
         return json.dumps(doc, default=int)
 
     @classmethod
     def from_json(cls, text: str) -> "CppState":
-        """Restore a :meth:`to_json` snapshot.  Raises ValueError on another
-        snapshot format, on vectors whose lengths do not match the series, on
-        a non-finite value or a probability outside [0, 1], and on a p_last or
-        p_hzero that disagrees with the history or p_second it duplicates.
-        Older snapshots may record a ``floor_scale`` or a ``window_cap``; they
-        load only if it holds the default scale or null."""
+        """Restore a :meth:`to_json` snapshot.  Raises ValueError on a document
+        that is not one: another snapshot format, a missing field or one of
+        the wrong type, vectors whose lengths do not match the series, a
+        non-finite value or a probability outside [0, 1]."""
         doc = json.loads(text)
+        if type(doc) is not dict:
+            raise ValueError(f"snapshot is a JSON {type(doc).__name__}, not an object")
         if doc.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(
                 f"snapshot format {doc.get('format')!r} is not supported; "
                 f"expected {SNAPSHOT_FORMAT}"
             )
-        c = doc["config"]
-        # older snapshots record the variance floor scale, which is now fixed
-        if c.get("floor_scale", DEFAULT_FLOOR_SCALE) != DEFAULT_FLOOR_SCALE:
-            raise ValueError(
-                f"snapshot floor_scale {c['floor_scale']!r} is not supported; "
-                f"expected {DEFAULT_FLOOR_SCALE}"
-            )
-        # and whether a window cap froze old hypotheses; the cap is gone, and no cap is null
-        if c.get("window_cap") is not None:
-            raise ValueError(f"snapshot window_cap {c['window_cap']!r} is not supported; "
-                             "expected null")
+        c = _field(doc, "config", dict)
+        number = (int, float)
         config = CppConfig(
             model=SingleCpModel(
-                mu0=c["mu0"], sigma=c["sigma"], change_prior_f=c["change_prior_f"]
+                mu0=_field(c, "mu0", *number, type(None)),
+                sigma=_field(c, "sigma", *number, type(None)),
+                change_prior_f=_field(c, "change_prior_f", *number),
             ),
-            jacobi_iterations=c["jacobi_iterations"],
-            estimation_mode=EstimationMode(c["estimation_mode"]),
-            variance_change=c["variance_change"],
+            jacobi_iterations=_field(c, "jacobi_iterations", int),
+            estimation_mode=EstimationMode(_field(c, "estimation_mode", str)),
+            variance_change=_field(c, "variance_change", bool),
         )
         state = cls(config=config)
-        state.rng.bit_generator.state = doc["rng_state"]
+        rng_state = _field(doc, "rng_state", dict)
+        try:
+            state.rng.bit_generator.state = rng_state
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"snapshot 'rng_state' is not a PCG64 state: {exc}") from None
         state.series = _unpack(doc, "series").tolist()
         n = state.n
         for x in state.series:
             state._append_prefix(x)  # rejects a non-finite series
         rows = _unpack(doc, "posterior_rows", n * (n + 1) // 2)
         state.history = PosteriorMatrix.from_packed(_probabilities("posterior_rows", rows), n)
-        p_last = _probabilities("p_last", _unpack(doc, "p_last", n))
-        state.p_last = np.concatenate([[0.0], p_last])
         p_second = _probabilities("p_second", _unpack(doc, "p_second", n))
         state.p_second = np.concatenate([[0.0], p_second])
-        state.p_hzero = float(_probabilities("p_hzero", np.float64(doc["p_hzero"])))
-        # to_json writes these from the same arrays, so they agree bit for bit
-        if n and state.p_last[1:].tobytes() != state.history.row(n).tobytes():
-            raise ValueError("snapshot 'p_last' differs from the newest 'posterior_rows' row")
-        if state.p_hzero != _unit(1.0 - float(state.p_second.sum())):
-            raise ValueError("snapshot 'p_hzero' differs from 1 - sum(p_second)")
         return state

@@ -466,9 +466,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             CppConfig(model=KNOWN, jacobi_iterations=0)
 
-    @pytest.mark.parametrize("case", ["list-format", "truncated-history", "short-p_last",
-                                      "p_last-not-newest-row", "p_hzero-not-complement",
-                                      "jacobi-2.5", "jacobi-string"])
+    @pytest.mark.parametrize("case", ["list-format", "format-2", "truncated-history",
+                                      "short-p_second", "jacobi-2.5", "jacobi-string",
+                                      "json-list", "format-2-only", "no-config",
+                                      "numeric-series", "empty-rng_state"])
     def test_from_json_rejects_malformed_snapshots(self, case):
         state = run_series(np.random.default_rng(10).standard_normal(12))
         doc = json.loads(state.to_json())
@@ -479,65 +480,73 @@ class TestSerialization:
             doc["p_last"] = state.p_last[1:].tolist()
             doc["p_second"] = state.p_second[1:].tolist()
             match = "format None"
+        elif case == "format-2":  # the layout that also stored p_last and p_hzero
+            doc.update(format=2, p_last=kernel._pack(state.p_last[1:]), p_hzero=state.p_hzero)
+            match = "format 2"
         elif case == "truncated-history":
             doc["posterior_rows"] = doc["posterior_rows"][:-12]
             match = "posterior_rows"
-        elif case == "p_last-not-newest-row":
-            doc["p_last"] = kernel._pack(np.zeros(12))
-            match = "'p_last' differs"
-        elif case == "p_hzero-not-complement":
-            assert doc["p_hzero"] > 0.5
-            doc["p_hzero"] = 0.0
-            match = "'p_hzero' differs"
         elif case.startswith("jacobi"):
             doc["config"]["jacobi_iterations"] = 2.5 if case == "jacobi-2.5" else "3"
             match = "jacobi_iterations"
+        elif case == "json-list":
+            doc, match = [], "JSON list"
+        elif case == "format-2-only":
+            doc, match = {"format": 2}, "format 2"
+        elif case == "no-config":
+            del doc["config"]
+            match = "no 'config'"
+        elif case == "numeric-series":
+            doc["series"] = 5
+            match = "'series' is int, not str"
+        elif case == "empty-rng_state":
+            doc["rng_state"] = {}
+            match = "rng_state"
         else:
-            doc["p_last"] = kernel._pack(state.p_last[2:])
-            match = "p_last"
+            doc["p_second"] = kernel._pack(state.p_second[2:])
+            match = "p_second"
         with pytest.raises(ValueError, match=match):
             CppState.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("name, index, value", [
-        ("p_last", 3, math.nan), ("p_last", slice(None), 5.0), ("p_second", 2, -0.5),
-        ("posterior_rows", 7, math.inf), ("p_hzero", None, math.nan), ("series", 0, math.nan),
-    ], ids=["p_last-nan", "p_last-above-1", "p_second-negative", "history-inf",
-            "p_hzero-nan", "series-nan"])
+        ("p_second", 2, -0.5), ("posterior_rows", 7, math.inf), ("series", 0, math.nan),
+    ], ids=["p_second-negative", "history-inf", "series-nan"])
     def test_from_json_rejects_corrupt_values(self, name, index, value):
         doc = json.loads(run_series(np.random.default_rng(10).standard_normal(12)).to_json())
-        if index is None:
-            doc[name] = value
-        else:
-            values = kernel._unpack(doc, name)
-            values[index] = value
-            doc[name] = kernel._pack(values)
+        values = kernel._unpack(doc, name)
+        values[index] = value
+        doc[name] = kernel._pack(values)
         with pytest.raises(ValueError, match="finite" if name == "series" else name):
             CppState.from_json(json.dumps(doc))
 
-    def test_from_json_accepts_only_the_default_floor_scale(self):
-        state = run_series([0.3, -1.2, 0.8])
-        doc = json.loads(state.to_json())
-        assert "floor_scale" not in doc["config"]
-        doc["config"]["floor_scale"] = 1e-8  # as older snapshots record it
-        np.testing.assert_array_equal(CppState.from_json(json.dumps(doc)).p_last, state.p_last)
-        doc["config"]["floor_scale"] = 1e-6
-        with pytest.raises(ValueError, match="floor_scale"):
-            CppState.from_json(json.dumps(doc))
-
-    def test_from_json_accepts_only_an_uncapped_window(self):
+    def test_snapshot_stores_neither_p_last_nor_p_hzero(self):
         state = run_series(two_shift_stream(30, 1))
         doc = json.loads(state.to_json())
-        assert "window_cap" not in doc["config"]
-        doc["config"]["window_cap"] = None  # as older snapshots record it
-        restored = CppState.from_json(json.dumps(doc))
-        assert_same_state(restored, state)
-        for x in (0.4, 2.1):
-            state.observe(x)
-            restored.observe(x)
-        assert_same_state(restored, state)
-        doc["config"]["window_cap"] = 40
-        with pytest.raises(ValueError, match="window_cap 40"):
-            CppState.from_json(json.dumps(doc))
+        assert doc["format"] == 3 and "p_last" not in doc and "p_hzero" not in doc
+
+    def test_p_last_is_read_only(self):
+        state = run_series(two_shift_stream(30, 1))
+        before = state.history.row(30).copy()
+        with pytest.raises(ValueError, match="read-only"):
+            state.p_last[5] = 0.9
+        with pytest.raises(AttributeError):
+            state.p_last = np.zeros(31)
+        np.testing.assert_array_equal(state.history.row(30), before)
+
+    @pytest.mark.parametrize("rng", [7, np.random.SeedSequence(7), np.random.PCG64(7),
+                                     np.random.default_rng(7)],
+                             ids=["int", "SeedSequence", "PCG64", "Generator"])
+    def test_rng_accepts_what_default_rng_takes(self, rng):
+        # each of these seeds the generator that the int 7 does
+        xs = two_shift_stream(30, 2)
+        half = CppState(CppConfig(model=KNOWN, estimation_mode=EstimationMode.POSTERIOR_SAMPLE),
+                        rng=rng)
+        for x in xs[:15]:
+            half.observe(x)
+        resumed = CppState.from_json(half.to_json())
+        for x in xs[15:]:
+            resumed.observe(x)
+        assert_same_state(resumed, run_series(xs, mode=EstimationMode.POSTERIOR_SAMPLE, seed=7))
 
     def test_snapshot_is_packed_binary(self):
         # base64 float64 costs 32/3 bytes per history entry; JSON text about 23
