@@ -801,10 +801,11 @@ class CppState:
             memo=self.history.matrix(n - 1),
         )
 
-        # warm start: previous solution extended by a zero for the new index
+        # warm start: previous solution, p_last being the memo's newest row,
+        # extended by a zero for the new index
         pl = np.zeros(n + 1)
         ps = np.zeros(n + 1)
-        pl[:n] = self.p_last
+        pl[:n] = tables.memo[n - 1]
         ps[:n] = self.p_second
         for _ in range(self.config.jacobi_iterations):
             pl, ps, _ = jacobi_step(pl, ps, tables)
