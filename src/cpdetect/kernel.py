@@ -830,7 +830,7 @@ class CppState:
         """Total probability that any changepoint has occurred so far."""
         if self.n < 1:
             return 0.0
-        return float(self.p_last[1:].sum())
+        return float(self.history.row(self.n).sum())
 
     # -- serialization -------------------------------------------------
 
