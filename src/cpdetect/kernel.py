@@ -47,14 +47,14 @@ Per-step cost at n points, by mode:
   Rows where the floor binds take the full log-likelihood.  The p_last
   update is then one matrix-vector product, plus the memo lookup.
 * Posterior sampling, or per-segment variances: the weights are the dense
-  tables, rebuilt every step, O(n^2) time spread over about fifteen
-  temporary (n + 1) x (n + 1) arrays.
+  tables, rebuilt every step from the cached css(j, i), O(n^2) time spread
+  over several temporary (n + 1) x (n + 1) arrays.
 
-Each step computes css(i, n), the post-change segment of every split,
-once: on the factored and fused paths it is the newest cache column, kept
-whole before the factored cache takes its exp, and the dense path computes
-it from the prefix sums.  The zero-or-one posterior P(i | fewer than two)
-reads that vector and evaluates only the admissible splits: O(n) per step.
+Every path extends one column cache with :func:`_css`, the one centred sum of
+squares, so each step computes css(i, n), the post-change segment of every
+split, once: the newest cache column, kept whole before the factored cache
+takes its exp.  The zero-or-one posterior P(i | fewer than two) reads that
+vector and evaluates only the admissible splits: O(n) per step.
 
 The dense rows, the rows stored whole and the zero-or-one posterior score
 splits with one function, :func:`_split_loglik`.  Sampling, it draws the
@@ -270,6 +270,13 @@ def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
     return grown
 
 
+def _css(s, q, m):
+    """Centred sum of squares of segments of ``m`` points whose values sum to
+    ``s`` and their squares to ``q``; 0 for an empty segment.  The arguments
+    broadcast."""
+    return np.maximum(q - s * s / np.maximum(m, 1.0), 0.0)
+
+
 class CssCache:
     """C[j, i] = css(j, i) for 0 <= j < i, zero elsewhere.
 
@@ -294,8 +301,8 @@ class CssCache:
             self._scratch = np.empty(max(2 * self._scratch.size, size))
         return self._scratch
 
-    def _store(self, css: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
-        """Write the entries for ``css`` into ``out``; ``work`` is scratch of its size."""
+    def _store(self, css: np.ndarray, out: np.ndarray) -> None:
+        """Write the entries for ``css`` into ``out``."""
         out[:] = css
 
     def extend(self, S: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -304,14 +311,9 @@ class CssCache:
         self._buf = _grown(self._buf, self._n + 1, n + 1)
         for i in range(self._n + 1, n + 1):
             # the segments (j, i] for j < i, holding i - j points, and (i, i]
-            s = S[i] - S[:i]
-            s *= s
-            s /= np.arange(float(i), 0.0, -1.0)
             self.css_post = np.zeros(i + 1)
-            css = np.subtract(Q[i], Q[:i], out=self.css_post[:i])
-            css -= s
-            np.maximum(css, 0.0, out=css)
-            self._store(css, s, self._buf[:i, i])
+            self.css_post[:i] = _css(S[i] - S[:i], Q[i] - Q[:i], np.arange(float(i), 0.0, -1.0))
+            self._store(self.css_post[:i], self._buf[:i, i])
         self._n = n
         return self._buf[: n + 1, : n + 1]
 
@@ -327,17 +329,13 @@ class ExpCssCache(CssCache):
         super().__init__()
         self._two_sigma2 = 2.0 * (sigma * sigma)
 
-    def _store(self, css: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
-        np.divide(css, -self._two_sigma2, out=work)
-        np.exp(work, out=out)
+    def _store(self, css: np.ndarray, out: np.ndarray) -> None:
+        np.exp(css / -self._two_sigma2, out=out)
 
 
-def _new_cache(config: CppConfig) -> CssCache | None:
-    """The column cache the config's table path extends, if any."""
-    path = _table_path(config)
-    if path == "dense":
-        return None
-    return ExpCssCache(config.model.sigma) if path == "factored" else CssCache()
+def _new_cache(config: CppConfig) -> CssCache:
+    """The column cache the config's table path extends."""
+    return ExpCssCache(config.model.sigma) if _table_path(config) == "factored" else CssCache()
 
 
 def _rowwise_softmax(logw: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -375,47 +373,41 @@ def build_conditional_tables(
     point, which must be the known mu0 when the config has one; with an
     unknown mean any point serves, and :class:`CppState` takes the first
     observation.  ``floor`` is the variance floor, which a known-sigma
-    config never reads.  A plug-in config without per-segment variances
-    extends ``cache`` (a fresh one if None) to the prefix.  ``memo`` is the
+    config never reads.  ``cache``, the config's column cache (a fresh one
+    if None), is extended to the prefix.  ``memo`` is the
     history of p_last rows from steps 1..n-1 (empty if None).  Every table
     covers the whole series.
     """
     n = len(prefix)
     S, Q = prefix.arrays()
     path = _table_path(config)
+    cache = _new_cache(config) if cache is None else cache
+    cached = cache.extend(S, Q)
     if path == "dense":
-        # post-change segment (i, n] of every split i; the H0 posterior reads it too
-        m_post = np.arange(float(n), -1.0, -1.0)
-        s_post = S[n] - S
-        css_post = np.maximum((Q[n] - Q) - s_post * s_post / np.maximum(m_post, 1.0), 0.0)
-        weights = _formula_rows(np.arange(n + 1), slice(None), n, S, Q, css_post, config, rng,
-                                floor)
-        post = row_scale = np.ones(n + 1)
-        exact, exact_rows = _NO_ROWS, np.zeros((0, n + 1))
+        weights = _formula_rows(np.arange(n + 1), slice(None), n, cached, cache.css_post,
+                                config, rng, floor)
+        rows = weights, np.ones(n + 1), np.ones(n + 1), _NO_ROWS, np.zeros((0, n + 1))
+    elif path == "factored":
+        rows = _factored_rows(n, S, Q, cached, cache.css_post, config, floor)
     else:
-        if cache is None:
-            cache = _new_cache(config)
-        build = _factored_rows if path == "factored" else _fused_rows
-        weights, post, row_scale, exact, exact_rows = build(n, S, Q, config, floor, cache)
-        css_post = cache.css_post
-    c0 = _hzero_posterior(n, S, Q, css_post, config, rng, floor)
+        rows = _fused_rows(n, cached, cache, config, floor)
+    weights, post, row_scale, exact, exact_rows = rows
+    c0 = _hzero_posterior(n, S, Q, cache.css_post, config, rng, floor)
     memo = np.zeros((0, 0)) if memo is None else memo
     return ConditionalTables(n, c0, weights, post, row_scale, memo, exact, exact_rows)
 
 
-def _formula_rows(rows, cols, n, S, Q, css_post, config: CppConfig, rng, floor):
+def _formula_rows(rows, cols, n, css_pre, css_post, config: CppConfig, rng, floor):
     """Rows ``rows`` of last_given_second on the column slice ``cols`` of
     0..n: :func:`_split_loglik` on each row's window (j, n], normalised over
-    its admissible splits.  Posterior sampling draws arrays of shape
-    (len(rows), number of columns), (n+1) x (n+1) for the dense build.
+    its admissible splits.  ``css_pre`` holds css(j, i) per row j and column
+    i; its cells with i <= j are masked.  Posterior sampling draws arrays of
+    shape (len(rows), number of columns), (n+1) x (n+1) for the dense build.
     """
     J = rows[:, None]
     I = np.arange(n + 1)[None, cols]
     # pre-change segment (j, i] per (j, i); the post-change one is (i, n]
     m_pre = (I - J).astype(float)
-    s_pre = S[I] - S[J]
-    css_pre = np.maximum((Q[I] - Q[J]) - s_pre * s_pre / np.maximum(m_pre, 1.0), 0.0)
-
     valid = (J >= 1) & (J <= n - 2) & (I > J) & (I <= n - 1)
     if config.variance_change:
         valid &= (m_pre >= 2) & (n - I >= 2)
@@ -423,11 +415,8 @@ def _formula_rows(rows, cols, n, S, Q, css_post, config: CppConfig, rng, floor):
     return _rowwise_softmax(logw, valid)
 
 
-def _factored_rows(n, S, Q, config: CppConfig, floor, cache: ExpCssCache):
+def _factored_rows(n, S, Q, weights, css_post, config: CppConfig, floor):
     two_sigma2 = 2.0 * (config.model.sigma * config.model.sigma)
-    weights = cache.extend(S, Q)
-    css_post = cache.css_post
-
     # rows j in [1, n-2] use the columns (j, n-1]
     post = np.zeros(n + 1)
     row_scale = np.zeros(n + 1)
@@ -444,8 +433,12 @@ def _factored_rows(n, S, Q, config: CppConfig, floor, cache: ExpCssCache):
         ok = z >= _MIN_ROW_NORM
         np.divide(1.0, z, out=row_scale[1 : n - 1], where=ok)
         if not ok.all():
+            # the cache holds exp(-css / 2 sigma^2), so these rows take css from the sums
             exact = np.arange(1, n - 1)[~ok]
-            exact_rows = _formula_rows(exact, slice(None), n, S, Q, css_post, config, None, floor)
+            J = exact[:, None]
+            css_pre = _css(S - S[J], Q - Q[J], np.arange(n + 1.0) - J)
+            exact_rows = _formula_rows(exact, slice(None), n, css_pre, css_post, config, None,
+                                       floor)
     return weights, post, row_scale, exact, exact_rows
 
 
@@ -455,8 +448,7 @@ def _factored_rows(n, S, Q, config: CppConfig, floor, cache: ExpCssCache):
 _FUSED_BLOCK_ROWS = 64
 
 
-def _fused_rows(n, S, Q, config: CppConfig, floor, cache: CssCache):
-    css_pre = cache.extend(S, Q)
+def _fused_rows(n, css_pre, cache: CssCache, config: CppConfig, floor):
     css_post = cache.css_post
     pos = np.arange(n + 1)
 
@@ -492,9 +484,9 @@ def _fused_rows(n, S, Q, config: CppConfig, floor, cache: CssCache):
         floored = t_min / dof < floor
         exact_rows = None
         if floored.any():
-            exact_rows = _formula_rows(
-                pos[r0:r1][floored], slice(r0 + 1, n), n, S, Q, css_post, config, None, floor
-            )
+            exact_rows = _formula_rows(pos[r0:r1][floored], slice(r0 + 1, n), n,
+                                       css_pre[r0:r1, r0 + 1 : n][floored], css_post, config,
+                                       None, floor)
             w[floored] = 1.0
             t_min[floored] = 1.0
         np.copyto(square, t_min[:, None], where=mask)
@@ -576,7 +568,7 @@ def _hzero_posterior(n, S, Q, css_post, config: CppConfig, rng, floor):
     m_pre = css_pre = None
     if model.sigma is None or model.mu0 is None:
         m_pre = np.arange(n + 1.0)
-        css_pre = np.maximum(Q - S * S / np.maximum(m_pre, 1.0), 0.0)
+        css_pre = _css(S, Q, m_pre)
     quad_pre = None if model.mu0 is None else Q
     split_ll = _split_loglik(n, m_pre, css_pre, css_post, config, rng, floor, quad_pre)
 
@@ -770,7 +762,7 @@ class CppState:
     def _floor(self) -> float:
         """The variance floor for the sample variance of the series."""
         n, (S, Q) = self.n, self.prefix.arrays()
-        return variance_floor(max(Q[n] - S[n] * S[n] / n, 0.0) / (n - 1) if n >= 2 else None)
+        return variance_floor(_css(S[n], Q[n], n) / (n - 1) if n >= 2 else None)
 
     def _append_prefix(self, x: float) -> None:
         """Add x's deviation from the reference point to the prefix sums."""

@@ -906,7 +906,7 @@ class TestTableViews:
 
 
 def css_post_formula(S, Q, n):
-    """css(i, n) for i = 0..n, as the dense table build computes it."""
+    """css(i, n) for i = 0..n, from the prefix sums."""
     m = np.arange(float(n), -1.0, -1.0)
     s = S[n] - S
     return np.maximum((Q[n] - Q) - s * s / np.maximum(m, 1.0), 0.0)
@@ -927,11 +927,18 @@ def assert_bits_equal(got, expected):
 
 class TestPerStepVectorsComputedOnce:
     """The cache's css(i, n) column, which the zero-or-one posterior reads,
-    is bit for bit what the formula gives."""
+    is bit for bit what the formula gives, on every table path."""
 
     @pytest.mark.parametrize("case", ["uncapped", "second-build", "after-restore"])
-    @pytest.mark.parametrize("model", [KNOWN, ESTIMATED], ids=["factored", "fused"])
-    def test_css_post_is_the_formula_at_every_step(self, monkeypatch, model, case):
+    @pytest.mark.parametrize(
+        "config",
+        [CppConfig(model=KNOWN), CppConfig(model=ESTIMATED),
+         CppConfig(model=ESTIMATED, estimation_mode=EstimationMode.POSTERIOR_SAMPLE),
+         CppConfig(variance_change=True)],
+        ids=["factored", "fused", "sampled", "variance-change"],
+    )
+    def test_css_post_is_the_formula_at_every_step(self, monkeypatch, config, case):
+        model = config.model
         seen, built = [], []
         hzero, build = kernel._hzero_posterior, kernel.build_conditional_tables
 
@@ -945,7 +952,6 @@ class TestPerStepVectorsComputedOnce:
 
         monkeypatch.setattr(kernel, "_hzero_posterior", spy_hzero)
         monkeypatch.setattr(kernel, "build_conditional_tables", spy_build)
-        config = CppConfig(model=model)
         state = CppState(config, rng=0)
         for n, x in enumerate(two_shift_stream(200, 31), start=1):
             if case == "after-restore" and n in (2, 57, 150):
