@@ -58,8 +58,15 @@ class GlrState:
 
     @classmethod
     def from_json(cls, text: str) -> "GlrState":
+        """Restore a :meth:`to_json` snapshot.  Raises ValueError on a document
+        that is not one: not an object, or without a ``series`` list of numbers."""
+        doc = json.loads(text)
+        series = doc.get("series") if type(doc) is dict else None
+        if type(series) is not list or not all(type(x) in (int, float) for x in series):
+            raise ValueError("GLR snapshot must be a JSON object whose 'series' is a list "
+                             "of numbers")
         state = cls()
-        for x in json.loads(text)["series"]:
+        for x in series:
             state.observe(x)
         return state
 

@@ -100,6 +100,8 @@ class SingleCpModel:
     ``mu0`` / ``sigma`` set to None mean the parameter is estimated from the
     data; a float means it is known.  ``change_prior_f`` is the per-step
     prior probability of a changepoint used by the zero-or-one posterior.
+    Each number is stored as a Python float, so a numpy float32 computes and
+    snapshots as the float64 of its value.
     """
 
     mu0: float | None = None
@@ -107,6 +109,13 @@ class SingleCpModel:
     change_prior_f: float = 0.005
 
     def __post_init__(self):
+        for name in ("mu0", "sigma", "change_prior_f"):
+            value = getattr(self, name)
+            if value is None and name != "change_prior_f":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (0.0 < self.change_prior_f < 1.0):
             raise ValueError("change_prior_f must be in (0, 1)")
         if self.mu0 is not None and not math.isfinite(self.mu0):
@@ -172,6 +181,7 @@ class CppConfig:
         it = self.jacobi_iterations
         if not isinstance(it, numbers.Integral) or isinstance(it, bool) or it < 1:
             raise ValueError(f"jacobi_iterations must be an integer >= 1, not {it!r}")
+        object.__setattr__(self, "jacobi_iterations", int(it))
         if not isinstance(self.estimation_mode, EstimationMode):
             raise ValueError(f"estimation_mode must be an EstimationMode, "
                              f"not {self.estimation_mode!r}")
@@ -728,11 +738,15 @@ def _probabilities(name: str, values):
 
 class CppState:
     """Full incremental detector state; feed points with :meth:`observe`.
-    ``rng`` is anything :func:`numpy.random.default_rng` takes."""
+    ``rng`` is anything :func:`numpy.random.default_rng` takes that draws
+    from PCG64, the one bit generator a snapshot restores."""
 
     def __init__(self, config: CppConfig | None = None, rng=None):
         self.config = config if config is not None else CppConfig()
         self.rng = np.random.default_rng(rng)
+        if not isinstance(self.rng.bit_generator, np.random.PCG64):
+            raise ValueError(f"rng draws from {type(self.rng.bit_generator).__name__}, but a "
+                             f"snapshot can restore only PCG64")
         self.series: list[float] = []
         self.prefix = PrefixStats()  # sums of x - _ref, mu0 or else the first x
         self._ref = self.config.model.mu0
@@ -846,7 +860,7 @@ class CppState:
             "p_second": _pack(self.p_second[1:]),
             "rng_state": self.rng.bit_generator.state,
         }
-        return json.dumps(doc, default=int)
+        return json.dumps(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "CppState":

@@ -128,6 +128,14 @@ class TestGlrState:
         cfg = GlrConfig(mu0=1e8, sigma=1.0)
         assert glr_decision(clone, cfg) == glr_decision(state, cfg)
 
+    @pytest.mark.parametrize(
+        "text", ["[]", "{}", '{"series": 3}', '{"series": [1.0, null]}'],
+        ids=["list", "no-series", "series-not-list", "series-holds-null"],
+    )
+    def test_from_json_rejects_a_document_that_is_not_a_snapshot(self, text):
+        with pytest.raises(ValueError, match="GLR snapshot"):
+            GlrState.from_json(text)
+
     def test_rejects_non_finite(self):
         state = GlrState()
         with pytest.raises(ValueError):

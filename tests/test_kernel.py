@@ -548,6 +548,14 @@ class TestSerialization:
             resumed.observe(x)
         assert_same_state(resumed, run_series(xs, mode=EstimationMode.POSTERIOR_SAMPLE, seed=7))
 
+    @pytest.mark.parametrize(
+        "make_rng", [np.random.MT19937, lambda seed: np.random.Generator(np.random.MT19937(seed))],
+        ids=["MT19937", "Generator-MT19937"],
+    )
+    def test_rng_rejects_a_generator_that_a_snapshot_cannot_restore(self, make_rng):
+        with pytest.raises(ValueError, match="MT19937"):
+            CppState(CppConfig(model=KNOWN), rng=make_rng(7))
+
     def test_snapshot_is_packed_binary(self):
         # base64 float64 costs 32/3 bytes per history entry; JSON text about 23
         n = 600
@@ -575,6 +583,29 @@ class TestConfigRejection:
         with pytest.raises(ValueError, match=f"{param} must be"):
             SingleCpModel(**{param: value})
 
+    @pytest.mark.parametrize(
+        "param, value",
+        [("mu0", "3"), ("mu0", 1 + 2j), ("sigma", True), ("sigma", np.bool_(True)),
+         ("change_prior_f", None), ("change_prior_f", "0.01")],
+        ids=["mu0-string", "mu0-complex", "sigma-bool", "sigma-numpy-bool", "f-none",
+             "f-string"],
+    )
+    def test_model_rejects_a_parameter_that_is_not_a_real_number(self, param, value):
+        with pytest.raises(ValueError, match=f"{param} must be a real number"):
+            SingleCpModel(**{param: value})
+
+    def test_float32_parameters_act_as_the_same_python_floats(self):
+        # a float32 mu0 once made x - mu0, and so every prefix sum, float32;
+        # the snapshot truncated float32 fields to integers
+        xs = two_shift_stream(50, 4) + 1.75
+        values = {"mu0": np.float32(1.75), "sigma": np.float32(0.5),
+                  "change_prior_f": np.float32(0.02)}
+        as32 = run_series(xs, model=SingleCpModel(**values))
+        as_float = run_series(xs, model=SingleCpModel(**{k: float(v) for k, v in values.items()}))
+        assert all(type(v) is float for v in dataclasses.astuple(as32.config.model))
+        assert_same_state(as32, as_float)
+        assert_same_state(CppState.from_json(as32.to_json()), as_float)
+
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "3", np.int64(-1)],
                              ids=["1.5", "2.0", "bool", "string", "numpy-negative"])
     def test_rejects_a_jacobi_iterations_that_is_not_a_positive_integer(self, value):
@@ -596,6 +627,7 @@ class TestConfigRejection:
     def test_accepts_a_numpy_integer_jacobi_iterations(self):
         xs = two_shift_stream(12, 2)
         state = run_series(xs, jacobi_iterations=np.int64(2))
+        assert type(state.config.jacobi_iterations) is int
         assert_same_state(CppState.from_json(state.to_json()), state)
         np.testing.assert_array_equal(state.p_last, run_series(xs, jacobi_iterations=2).p_last)
 
