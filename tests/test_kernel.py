@@ -595,8 +595,8 @@ class TestConfigRejection:
             SingleCpModel(**{param: value})
 
     def test_float32_parameters_act_as_the_same_python_floats(self):
-        # a float32 mu0 once made x - mu0, and so every prefix sum, float32;
-        # the snapshot truncated float32 fields to integers
+        # under numpy 2's promotion rules x - np.float32(mu0) is float32, which
+        # would round every prefix sum; a snapshot must not truncate them either
         xs = two_shift_stream(50, 4) + 1.75
         values = {"mu0": np.float32(1.75), "sigma": np.float32(0.5),
                   "change_prior_f": np.float32(0.02)}
