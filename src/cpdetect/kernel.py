@@ -321,8 +321,8 @@ class CssCache:
         self._buf = _grown(self._buf, self._n + 1, n + 1)
         for i in range(self._n + 1, n + 1):
             # the segments (j, i] for j < i, holding i - j points, and (i, i]
-            self.css_post = np.zeros(i + 1)
-            self.css_post[:i] = _css(S[i] - S[:i], Q[i] - Q[:i], np.arange(float(i), 0.0, -1.0))
+            m = np.arange(float(i), -1.0, -1.0)
+            self.css_post = _css(S[i] - S[: i + 1], Q[i] - Q[: i + 1], m)
             self._store(self.css_post[:i], self._buf[:i, i])
         self._n = n
         return self._buf[: n + 1, : n + 1]
