@@ -293,8 +293,8 @@ class CssCache:
     css(j, i) is the centered sum of squares of the segment (j, i].  Column
     i depends only on the points up to i, so the cache grows by one O(n)
     column per observation.  The buffer is zeroed lazily and nothing writes
-    below the diagonal, which the fused pass masks, so the pages there need
-    not be made resident.  The newest column, css(i, n) for i = 0..n, which
+    below the diagonal, which the fused pass and the dense rows mask, so the
+    pages there need not be made resident.  The newest column, css(i, n) for i = 0..n, which
     the table build and the zero-or-one posterior read, is also kept whole as
     ``css_post``, and so is the flat work buffer of the fused pass.
     """
