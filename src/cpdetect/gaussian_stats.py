@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 
 import numpy as np
 
@@ -69,6 +70,18 @@ class PrefixStats:
         for v in views:
             v.flags.writeable = False
         return views
+
+
+def real_number(name: str, value) -> float:
+    """``value`` as a Python float; a ValueError naming ``name`` unless it is a
+    real number, not a bool, that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite as a float, and this "
+                         f"{type(value).__name__} overflows one") from None
 
 
 def variance_floor(global_variance: float | None) -> float:

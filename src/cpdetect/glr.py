@@ -14,16 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_stats import PrefixStats
+from .gaussian_stats import PrefixStats, real_number
 
 
 @dataclass(frozen=True)
 class GlrConfig:
+    """Known pre-change mean and standard deviation, and the smallest shift
+    the scan looks for; each is stored as a Python float."""
+
     mu0: float = 0.0
     sigma: float = 1.0
     nu_min: float = 0.5
 
     def __post_init__(self):
+        for name in ("mu0", "sigma", "nu_min"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         finite = math.isfinite
         if not (finite(self.mu0) and finite(self.sigma) and finite(self.nu_min)):
             raise ValueError("mu0, sigma and nu_min must be finite")

@@ -74,6 +74,9 @@ Up to B points, each is one product over the whole operand.
 
 The state stores p_second and the history of every P_k; p_last is the
 newest history row and p_hzero is 1 - sum(p_second), clamped to [0, 1].
+The history and the column cache are triangles in capacity-doubled square
+buffers, mapped in base pages, not huge pages, so that only the pages that
+hold part of a triangle become resident.
 A snapshot (:meth:`CppState.to_json`) is one JSON object.  The series,
 p_second and the history, n(n+1)/2 values, are base64 strings of
 little-endian float64: about 10.7 bytes per history entry, and a restore is
@@ -85,12 +88,13 @@ from __future__ import annotations
 import base64
 import json
 import math
+import mmap
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_stats import LOG_2PI, EstimationMode, PrefixStats, variance_floor
+from .gaussian_stats import LOG_2PI, EstimationMode, PrefixStats, real_number, variance_floor
 
 
 @dataclass(frozen=True)
@@ -111,11 +115,8 @@ class SingleCpModel:
     def __post_init__(self):
         for name in ("mu0", "sigma", "change_prior_f"):
             value = getattr(self, name)
-            if value is None and name != "change_prior_f":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, not {value!r}")
-            object.__setattr__(self, name, float(value))
+            if value is not None or name == "change_prior_f":
+                object.__setattr__(self, name, real_number(name, value))
         if not (0.0 < self.change_prior_f < 1.0):
             raise ValueError("change_prior_f must be in (0, 1)")
         if self.mu0 is not None and not math.isfinite(self.mu0):
@@ -265,6 +266,27 @@ _NO_ROWS = np.zeros(0, dtype=np.intp)
 _MIN_ROW_NORM = 1e-280
 
 
+#: numpy advises huge pages for every array of this many bytes or more, its
+#: own threshold, so a square buffer this large is mapped by _square_zeros
+_HUGE_PAGE_BYTES = 1 << 22
+
+
+def _square_zeros(cap: int) -> np.ndarray:
+    """A zeroed cap x cap buffer whose pages become resident only when written.
+
+    np.zeros maps its pages lazily, but from 4 MiB numpy advises huge pages,
+    and a 2 MiB page makes the unwritten cells around a triangle resident.
+    So a buffer that large comes from a private anonymous mapping advised
+    against huge pages; private, so a forked child's writes stay its own.
+    """
+    size = cap * cap * 8
+    if size < _HUGE_PAGE_BYTES or not hasattr(mmap, "MADV_NOHUGEPAGE"):
+        return np.zeros((cap, cap))
+    region = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    region.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(region, dtype=float).reshape(cap, cap)
+
+
 def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
     """``buf`` if it has ``need`` rows and columns; else a zeroed square
     buffer at least twice as large, but for a copy of the leading used x used
@@ -272,10 +294,7 @@ def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
     if buf.shape[0] >= need:
         return buf
     cap = max(2 * buf.shape[0], need)
-    # np.zeros maps pages lazily, so the pages of a triangular buffer that are
-    # never written, such as those wholly below the diagonal of a cache, cost
-    # neither time nor memory
-    grown = np.zeros((cap, cap))
+    grown = _square_zeros(cap)
     grown[:used, :used] = buf[:used, :used]
     return grown
 
@@ -292,10 +311,11 @@ class CssCache:
 
     css(j, i) is the centered sum of squares of the segment (j, i].  Column
     i depends only on the points up to i, so the cache grows by one O(n)
-    column per observation.  The buffer is zeroed lazily and nothing writes
-    below the diagonal, which the fused pass and the dense rows mask, so the
-    pages there need not be made resident.  The newest column, css(i, n) for i = 0..n, which
-    the table build and the zero-or-one posterior read, is also kept whole as
+    column per observation.  Nothing writes below the diagonal, which the
+    fused pass and the dense rows mask, and the buffer comes from
+    :func:`_square_zeros`, so only pages that hold part of the upper triangle
+    become resident.  The newest column, css(i, n) for i = 0..n, which the
+    table build and the zero-or-one posterior read, is also kept whole as
     ``css_post``, and so is the flat work buffer of the fused pass.
     """
 
@@ -663,7 +683,7 @@ class PosteriorMatrix:
         :meth:`packed`'s n(n+1)/2 values."""
         store = cls()
         cap = max(8, 1 << n.bit_length())  # the size n appends would have grown it to
-        store._buf = np.zeros((cap, cap))
+        store._buf = _square_zeros(cap)
         store._buf[1 : n + 1, 1 : n + 1][np.tri(n, dtype=bool)] = values
         store._n = n
         return store

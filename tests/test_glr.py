@@ -167,7 +167,23 @@ class TestGlrConfig:
             GlrConfig(nu_min=-0.1)
 
     @pytest.mark.parametrize("param", ["mu0", "sigma", "nu_min"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400],
+                             ids=["nan", "inf", "int-overflows-float"])
     def test_rejects_non_finite_parameters(self, param, value):
         with pytest.raises(ValueError, match="finite"):
             GlrConfig(**{param: value})
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [("mu0", "3"), ("mu0", 1 + 2j), ("sigma", True), ("sigma", np.bool_(True)),
+         ("nu_min", None)],
+        ids=["mu0-string", "mu0-complex", "sigma-bool", "sigma-numpy-bool", "nu_min-none"],
+    )
+    def test_rejects_a_parameter_that_is_not_a_real_number(self, param, value):
+        with pytest.raises(ValueError, match=f"{param} must be a real number"):
+            GlrConfig(**{param: value})
+
+    def test_numpy_parameters_are_stored_as_python_floats(self):
+        config = GlrConfig(mu0=np.float32(1.75), sigma=np.int64(2), nu_min=np.float32(0.5))
+        assert config == GlrConfig(mu0=1.75, sigma=2.0, nu_min=0.5)
+        assert all(type(v) is float for v in (config.mu0, config.sigma, config.nu_min))

@@ -203,13 +203,15 @@ class TestThresholdSweep:
         with pytest.raises(ValueError, match="n_trials"):
             threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[3.0], n_trials=n_trials)
 
-    def test_parallel_jobs_match_serial(self):
-        serial = threshold_sweep(
-            FAST_SPEC, DetectorKind.GLR, thresholds=[4.0], n_trials=40, jobs=1
-        )
-        parallel = threshold_sweep(
-            FAST_SPEC, DetectorKind.GLR, thresholds=[4.0], n_trials=40, jobs=2
-        )
+    @pytest.mark.parametrize(
+        "kind, thresholds",
+        [(DetectorKind.GLR, [4.0]), (DetectorKind.CPP, [0.5, 0.9])],
+        ids=["glr", "cpp"],
+    )
+    def test_parallel_jobs_match_serial(self, kind, thresholds):
+        # the CPP trials run kernel states in the forked workers
+        serial = threshold_sweep(FAST_SPEC, kind, thresholds=thresholds, n_trials=40, jobs=1)
+        parallel = threshold_sweep(FAST_SPEC, kind, thresholds=thresholds, n_trials=40, jobs=2)
         assert serial.rows == parallel.rows
 
 

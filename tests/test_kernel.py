@@ -8,6 +8,8 @@ checked against hand-computed substitutions on small hand-set tables.
 import dataclasses
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -575,9 +577,9 @@ class TestConfigRejection:
     @pytest.mark.parametrize(
         "param, value",
         [("mu0", math.nan), ("mu0", math.inf), ("sigma", math.nan), ("sigma", math.inf),
-         ("sigma", 1e160), ("sigma", 1e-170)],
+         ("sigma", 1e160), ("sigma", 1e-170), ("sigma", 10**400)],
         ids=["mu0-nan", "mu0-inf", "sigma-nan", "sigma-inf", "sigma-square-inf",
-             "sigma-square-0"],
+             "sigma-square-0", "sigma-int-overflows-float"],
     )
     def test_model_rejects_non_finite_parameters(self, param, value):
         with pytest.raises(ValueError, match=f"{param} must be"):
@@ -1080,3 +1082,72 @@ class TestProductBlockHeight:
                 assert_bits_equal(got_last, single)
                 assert_bits_equal(got_second[:n], expected_second)
                 assert_bits_equal(got_tril[:n], tril.T @ p_last[:n])
+
+
+THP_ENABLED = "/sys/kernel/mm/transparent_hugepage/enabled"
+FOUR_MIB = 1 << 22
+
+
+def huge_pages_available():
+    """Whether the kernel may back anonymous memory with transparent huge pages."""
+    try:
+        with open(THP_ENABLED) as f:
+            return "[never]" not in f.read()
+    except OSError:
+        return False
+
+
+def anon_huge_kb(array):
+    """AnonHugePages, in kB, of every /proc/self/smaps entry that overlaps
+    the bytes of ``array``."""
+    lo = array.__array_interface__["data"][0]
+    hi = lo + array.nbytes
+    found, overlaps = [], False
+    with open("/proc/self/smaps") as f:
+        for line in f:
+            head = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
+            if head:
+                overlaps = int(head[1], 16) < hi and lo < int(head[2], 16)
+            elif overlaps and line.startswith("AnonHugePages:"):
+                found.append(int(line.split()[1]))
+    return found
+
+
+class TestLargeBuffers:
+    """From 4 MiB the history and cache buffers are mapped in base pages."""
+
+    @pytest.mark.skipif(not huge_pages_available(), reason="no transparent huge pages")
+    def test_history_and_cache_take_no_huge_pages(self):
+        state = run_series(two_shift_stream(600, 5))
+        restored = CppState.from_json(state.to_json())
+        for buf in (state.history._buf, state._cache._buf, restored.history._buf):
+            assert buf.nbytes >= FOUR_MIB
+            kb = anon_huge_kb(buf)
+            assert kb and all(k == 0 for k in kb), kb
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_a_forked_child_writes_its_own_copy(self):
+        history = PosteriorMatrix()
+        for k in range(1, 521):
+            history.append(np.full(k + 1, 1.0 / k))
+        assert history._buf.nbytes >= FOUR_MIB
+        pid = os.fork()
+        if pid == 0:
+            try:
+                history._buf[520, 1] = 0.5
+                os._exit(0 if history.row(520)[0] == 0.5 else 1)
+            finally:
+                os._exit(2)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert history.row(520)[0] == 1.0 / 520
+
+    def test_restore_past_4_mib_matches_the_uninterrupted_run(self):
+        xs = two_shift_stream(521, 6)
+        full = run_series(xs)
+        half = run_series(xs[:520])
+        resumed = CppState.from_json(half.to_json())
+        assert resumed.history._buf.shape == (1024, 1024)  # 8 MiB
+        assert_same_state(resumed, half)
+        resumed.observe(xs[520])
+        assert_same_state(resumed, full)
