@@ -22,7 +22,10 @@ The test suite's ``tests/oracles.py`` evaluates the same per-window
 posteriors split by split, as the reference the tables are tested against.
 
 Every mode builds one table type, :class:`ConditionalTables`, whose row j
-is weights[j] * post * row_scale[j] but for a few rows stored whole.
+is weights[j] * post * row_scale[j] but for the rows that product cannot
+hold.  Each path lists those in ``exact``, with row_scale 0, and
+:func:`build_conditional_tables` stores them whole, from the full formula
+with css(j, i) taken from the prefix sums, at O(n) each.
 Per-step cost at n points, by mode:
 
 * Known sigma, plug-in means: the tables factor.  With
@@ -33,7 +36,7 @@ Per-step cost at n points, by mode:
   one O(n) column per step; only post = exp(b) is new.  The row normalisers
   Z = E exp(b) and the p_last update ((p_second / Z)^T E) * exp(b) are two
   matrix-vector products, plus a third for the memo lookup.  A row
-  whose Z underflows is stored whole, from the full formula, at O(n).
+  whose Z underflows is stored whole.
 * Estimated sigma, plug-in means: the window (j, n] of row j has n - j
   points whatever the split i, so with T = css(j, i) + css(i, n) and an
   unbinding variance floor, row j is proportional to
@@ -44,8 +47,8 @@ Per-step cost at n points, by mode:
   below the diagonal, which all lie in the block's leading square, masked
   so that every log and exp sees a finite value; the finished rows are
   written once into the step's fresh (n + 1) x (n + 1) array of weights.
-  Rows where the floor binds take the full log-likelihood.  The p_last
-  update is then one matrix-vector product, plus the memo lookup.
+  Rows where the floor binds are stored whole.  The p_last update is then
+  one matrix-vector product, plus the memo lookup.
 * Posterior sampling, or per-segment variances: the weights are the dense
   tables, rebuilt every step from the cached css(j, i), O(n^2) time spread
   over several temporary (n + 1) x (n + 1) arrays.
@@ -208,9 +211,10 @@ class ConditionalTables:
     """Everything one Jacobi sweep needs, for a window of n points.
 
     Arrays are indexed by absolute position (index 0 unused).  Row j of
-    ``last_given_second``, the exactly-one posterior on the suffix window
-    after j, is ``weights[j] * post * row_scale[j]``; the rows listed in
-    ``exact`` have ``row_scale`` 0 and are stored whole in ``exact_rows``.
+    the conditional table, the exactly-one posterior on the suffix window
+    after j, is ``weights[j] * post * row_scale[j]``, but for the rows that
+    product cannot hold: on every path those are listed in ``exact``, have
+    ``row_scale`` 0, and are stored whole in ``exact_rows``.
     ``post`` is ones but with known sigma, and ``row_scale`` ones on the
     dense path.  ``last_given_hzero[i]`` is the zero-or-one posterior on the
     whole window; ``memo[k, i]`` holds the stored p_last row from step k.
@@ -225,15 +229,8 @@ class ConditionalTables:
     exact: np.ndarray
     exact_rows: np.ndarray
 
-    @property
-    def last_given_second(self) -> np.ndarray:
-        """The dense (n+1, n+1) table, built on demand."""
-        dense = self.weights * self.post * self.row_scale[:, None]
-        dense[self.exact] = self.exact_rows
-        return dense
-
     def last_from_second(self, p_second: np.ndarray) -> np.ndarray:
-        """sum_j p_second[j] * last_given_second[j], by row blocks above B points."""
+        """sum_j p_second[j] * (row j of the table), by row blocks above B points."""
         v = p_second * self.row_scale
         if self.n <= _PRODUCT_BLOCK_ROWS:
             out = v @ self.weights
@@ -406,7 +403,8 @@ def build_conditional_tables(
     config never reads.  ``cache``, the config's column cache (a fresh one
     if None), is extended to the prefix.  ``memo`` is the
     history of p_last rows from steps 1..n-1 (empty if None).  Every table
-    covers the whole series.
+    covers the whole series, and the rows stored whole are computed here
+    for every path.
     """
     n = len(prefix)
     S, Q = prefix.arrays()
@@ -414,28 +412,34 @@ def build_conditional_tables(
     cache = _new_cache(config) if cache is None else cache
     cached = cache.extend(S, Q)
     if path == "dense":
-        weights = _formula_rows(np.arange(n + 1), slice(None), n, cached, cache.css_post,
-                                config, rng, floor)
-        rows = weights, np.ones(n + 1), np.ones(n + 1), _NO_ROWS, np.zeros((0, n + 1))
+        weights = _formula_rows(np.arange(n + 1), n, cached, cache.css_post, config, rng, floor)
+        rows = weights, np.ones(n + 1), np.ones(n + 1), _NO_ROWS
     elif path == "factored":
-        rows = _factored_rows(n, S, Q, cached, cache.css_post, config, floor)
+        rows = _factored_rows(n, cached, cache.css_post, config)
     else:
-        rows = _fused_rows(n, cached, cache, config, floor)
-    weights, post, row_scale, exact, exact_rows = rows
+        rows = _fused_rows(n, cached, cache, floor)
+    weights, post, row_scale, exact = rows
+    exact_rows = np.zeros((0, n + 1))
+    if exact.size:
+        # css(j, i) from the sums, since the factored cache holds its exp
+        J = exact[:, None]
+        css_pre = _css(S - S[J], Q - Q[J], np.arange(n + 1.0) - J)
+        exact_rows = _formula_rows(exact, n, css_pre, cache.css_post, config, rng, floor)
     c0 = _hzero_posterior(n, S, Q, cache.css_post, config, rng, floor)
     memo = np.zeros((0, 0)) if memo is None else memo
     return ConditionalTables(n, c0, weights, post, row_scale, memo, exact, exact_rows)
 
 
-def _formula_rows(rows, cols, n, css_pre, css_post, config: CppConfig, rng, floor):
-    """Rows ``rows`` of last_given_second on the column slice ``cols`` of
-    0..n: :func:`_split_loglik` on each row's window (j, n], normalised over
-    its admissible splits.  ``css_pre`` holds css(j, i) per row j and column
-    i; its cells with i <= j are masked.  Posterior sampling draws arrays of
-    shape (len(rows), number of columns), (n+1) x (n+1) for the dense build.
+def _formula_rows(rows, n, css_pre, css_post, config: CppConfig, rng, floor):
+    """Rows ``rows`` of the conditional table from the full formula:
+    :func:`_split_loglik` on each row's window (j, n], normalised over its
+    admissible splits.  This is the dense build, and on the other paths the
+    one source of the rows stored whole.  ``css_pre`` holds css(j, i) per row
+    j and column i = 0..n; its cells with i <= j are masked.  Posterior
+    sampling draws arrays of shape (len(rows), n + 1).
     """
     J = rows[:, None]
-    I = np.arange(n + 1)[None, cols]
+    I = np.arange(n + 1)
     # pre-change segment (j, i] per (j, i); the post-change one is (i, n]
     m_pre = (I - J).astype(float)
     valid = (J >= 1) & (J <= n - 2) & (I > J) & (I <= n - 1)
@@ -445,12 +449,12 @@ def _formula_rows(rows, cols, n, css_pre, css_post, config: CppConfig, rng, floo
     return _rowwise_softmax(logw, valid)
 
 
-def _factored_rows(n, S, Q, weights, css_post, config: CppConfig, floor):
+def _factored_rows(n, weights, css_post, config: CppConfig):
     two_sigma2 = 2.0 * (config.model.sigma * config.model.sigma)
     # rows j in [1, n-2] use the columns (j, n-1]
     post = np.zeros(n + 1)
     row_scale = np.zeros(n + 1)
-    exact, exact_rows = _NO_ROWS, np.zeros((0, n + 1))
+    exact = _NO_ROWS
     if n > 2:
         b = css_post[2:n] / -two_sigma2
         b -= b.max()
@@ -463,13 +467,8 @@ def _factored_rows(n, S, Q, weights, css_post, config: CppConfig, floor):
         ok = z >= _MIN_ROW_NORM
         np.divide(1.0, z, out=row_scale[1 : n - 1], where=ok)
         if not ok.all():
-            # the cache holds exp(-css / 2 sigma^2), so these rows take css from the sums
             exact = np.arange(1, n - 1)[~ok]
-            J = exact[:, None]
-            css_pre = _css(S - S[J], Q - Q[J], np.arange(n + 1.0) - J)
-            exact_rows = _formula_rows(exact, slice(None), n, css_pre, css_post, config, None,
-                                       floor)
-    return weights, post, row_scale, exact, exact_rows
+    return weights, post, row_scale, exact
 
 
 #: Rows per block of the fused pass.  A block spans the columns right of its
@@ -478,7 +477,10 @@ def _factored_rows(n, S, Q, weights, css_post, config: CppConfig, floor):
 _FUSED_BLOCK_ROWS = 64
 
 
-def _fused_rows(n, css_pre, cache: CssCache, config: CppConfig, floor):
+def _fused_rows(n, css_pre, cache: CssCache, floor):
+    """The product form of the estimated-sigma tables, in one fused pass over
+    the upper triangle; ``exact`` lists the rows where the variance floor
+    binds, whose log-likelihood this form cannot express."""
     css_post = cache.css_post
     pos = np.arange(n + 1)
 
@@ -488,6 +490,7 @@ def _fused_rows(n, css_pre, cache: CssCache, config: CppConfig, floor):
     # -(n - j) / 2 * log T plus a constant of the row.
     weights = np.zeros((n + 1, n + 1))
     row_scale = np.zeros(n + 1)
+    exact = []
     rows = _FUSED_BLOCK_ROWS
     # A block of rows r0..r1-1 over the columns r0+1..n-1 runs in one
     # contiguous scratch array.  Its cells with i <= j all lie in the leading
@@ -509,14 +512,10 @@ def _fused_rows(n, css_pre, cache: CssCache, config: CppConfig, floor):
         np.add(w, css_post[r0 + 1 : n], out=w)
         np.copyto(square, np.inf, where=mask)
         t_min = w.min(axis=1)
-        # rows where the floor binds take the full log-likelihood, stored
-        # normalised with row_scale 1
+        # rows where the floor binds are stored whole; ones here keep their logs finite
         floored = t_min / dof < floor
-        exact_rows = None
         if floored.any():
-            exact_rows = _formula_rows(pos[r0:r1][floored], slice(r0 + 1, n), n,
-                                       css_pre[r0:r1, r0 + 1 : n][floored], css_post, config,
-                                       None, floor)
+            exact.append(pos[r0:r1][floored])
             w[floored] = 1.0
             t_min[floored] = 1.0
         np.copyto(square, t_min[:, None], where=mask)
@@ -526,15 +525,14 @@ def _fused_rows(n, css_pre, cache: CssCache, config: CppConfig, floor):
         np.exp(w, out=w)
         np.copyto(square, 0.0, where=mask)
         row_scale[r0:r1] = 1.0 / w.sum(axis=1)
-        if exact_rows is not None:
-            w[floored] = exact_rows
-            row_scale[r0:r1][floored] = 1.0
         weights[r0:r1, r0 + 1 : n] = w
+    exact = np.concatenate(exact) if exact else _NO_ROWS
+    row_scale[exact] = 0.0
     if n > 2:
         # the window of row n-2 holds two points, so its one split has weight 1
         weights[n - 2, n - 1] = 1.0
         row_scale[n - 2] = 1.0
-    return weights, np.ones(n + 1), row_scale, _NO_ROWS, np.zeros((0, n + 1))
+    return weights, np.ones(n + 1), row_scale, exact
 
 
 def _split_loglik(m_win, m_pre, css_pre, css_post, config: CppConfig, rng, floor,

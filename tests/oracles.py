@@ -12,7 +12,10 @@ explicit Gaussian parameters:
 * the exactly-one and zero-or-one posteriors with a separate mean and
   variance per segment;
 * ``run_trial``, one benchmark trial at one threshold, which the harness's
-  single-pass threshold sweep must reproduce.
+  single-pass threshold sweep must reproduce;
+* ``dense_table``, the (n+1) x (n+1) conditional table that a
+  ``ConditionalTables`` describes by its product form and its rows stored
+  whole.
 
 A split at i means observations 1..i are pre-change and i+1..n are
 post-change, so i ranges over 1..n-1: both segments must be non-empty,
@@ -425,3 +428,11 @@ def run_trial(
         if g >= threshold_h:
             return TrialRecord(t0=t0, t_a=k, false_alarm=k <= t0, out_of_bounds=False)
     return TrialRecord(t0=t0, t_a=None, false_alarm=False, out_of_bounds=True)
+
+
+def dense_table(tables) -> np.ndarray:
+    """Row j is ``weights[j] * post * row_scale[j]``, but for the rows listed
+    in ``exact``, which are the matching rows of ``exact_rows``."""
+    dense = tables.weights * tables.post * tables.row_scale[:, None]
+    dense[tables.exact] = tables.exact_rows
+    return dense

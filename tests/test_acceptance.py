@@ -64,7 +64,7 @@ def test_criterion_1_operating_point_delays(operating_point):
 
 def test_criterion_2_sigma_sweep_crossover():
     rows = sigma_sweep(
-        ScenarioSpec(seed=0), [0.4, 0.6, 0.8, 1.0, 1.2, 1.4], n_trials=500
+        ScenarioSpec(seed=0), [0.4, 0.6, 0.8, 1.0, 1.2, 1.4], n_trials=500, jobs=2
     )
     failures = [
         f"sigma={s}: cpp {c:.2f} > glr {g:.2f}" for s, c, g in rows if s >= 0.8 and c > g

@@ -39,6 +39,10 @@ class TestSeriesFiles:
         series = read_series_text("# a comment\nvalue\n1.0\n2.0\n")
         assert len(series) == 2
 
+    def test_blank_lines_and_indented_comments_are_skipped(self):
+        series = read_series_text("value\n1.0\n\n   \n  # a note\n2.0\n")
+        np.testing.assert_array_equal(series.values, [1.0, 2.0])
+
     def test_parse_error_names_line(self):
         with pytest.raises(SeriesParseError, match=":3"):
             read_series_text("value\n1.0\nnot-a-number\n")
@@ -294,6 +298,13 @@ class TestSynthCommand:
     def test_bad_segment_spec_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["synth", "--segment", "10:0", "--out", str(tmp_path / "x.csv")])
+
+    def test_zero_length_segment_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--segment", "0:1:1", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "bad segment '0:1:1'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_seeded_synth_is_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cpdetect import harness
 from cpdetect.harness import (
     DetectorKind,
     DetectorParams,
@@ -202,6 +203,22 @@ class TestThresholdSweep:
     def test_no_trials_rejected(self, n_trials):
         with pytest.raises(ValueError, match="n_trials"):
             threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[3.0], n_trials=n_trials)
+
+    def test_detector_failure_names_its_step_and_trial(self, monkeypatch):
+        steps = []
+
+        def failing_decision(detector, cfg):
+            steps.append(len(steps) + 1)
+            if len(steps) == 3:
+                raise ZeroDivisionError("boom")
+            return 0.0
+
+        monkeypatch.setattr(harness, "glr_decision", failing_decision)
+        t0, _ = generate_trial_data(FAST_SPEC, _trial_streams(FAST_SPEC, 0)[0])
+        with pytest.raises(RuntimeError) as exc:
+            threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[1e12], n_trials=2)
+        assert str(exc.value) == f"detector failed at step 3 of trial 0 (t0={t0})"
+        assert isinstance(exc.value.__cause__, ZeroDivisionError)
 
     @pytest.mark.parametrize(
         "kind, thresholds",

@@ -30,7 +30,7 @@ from cpdetect.kernel import (
     jacobi_step,
 )
 from cpdetect.gaussian_stats import PrefixStats
-from oracles import posterior_exactly_one, posterior_zero_or_one
+from oracles import dense_table, posterior_exactly_one, posterior_zero_or_one
 
 KNOWN = SingleCpModel(mu0=0.0, sigma=1.0)
 
@@ -103,6 +103,8 @@ class TestObserveBasics:
         state = CppState(config=CppConfig(model=KNOWN))
         with pytest.raises(ValueError):
             state.query_p_last()
+        with pytest.raises(ValueError, match="no observations yet"):
+            state.query_p_second()
         assert state.decision_g() == 0.0
 
     def test_history_rows_have_increasing_length(self):
@@ -149,11 +151,11 @@ class TestConservationAndBounds:
             assert 0.0 <= state.decision_g() <= 1.0 + 1e-9
 
 
-def dense_tables(last_given_hzero, last_given_second, memo):
+def dense_tables(last_given_hzero, table, memo):
     """Hand-set tables in the dense path's form: post and row_scale ones."""
     ones = np.ones(len(last_given_hzero))
     return ConditionalTables(
-        n=len(ones) - 1, last_given_hzero=last_given_hzero, weights=last_given_second,
+        n=len(ones) - 1, last_given_hzero=last_given_hzero, weights=table,
         post=ones, row_scale=ones, memo=memo,
         exact=np.zeros(0, dtype=int), exact_rows=np.zeros((0, len(ones))),
     )
@@ -250,14 +252,15 @@ class TestConditionalTablesAgainstScalarReference:
         prefix = PrefixStats(xs if model.mu0 is None else xs - model.mu0)
         config = CppConfig(model=model)
         tables = build_conditional_tables(prefix, config, np.random.default_rng(0), 1e-8)
-        # rows of last_given_second are exactly-one posteriors on suffixes
+        # rows of the conditional table are exactly-one posteriors on suffixes
+        dense = dense_table(tables)
         for j in range(1, n - 1):
             suffix_model = SingleCpModel(
                 mu0=None, sigma=model.sigma, change_prior_f=model.change_prior_f
             )
             ref = posterior_exactly_one(xs[j:], suffix_model, start=j + 1)
             np.testing.assert_allclose(
-                tables.last_given_second[j, j + 1 : n], ref.values, atol=1e-9
+                dense[j, j + 1 : n], ref.values, atol=1e-9
             )
         # the H-zero branch is the zero-or-one posterior on the whole window
         p_none, vec = posterior_zero_or_one(xs, model)
@@ -653,7 +656,7 @@ def assert_states_close(a, b, atol):
 
 
 def reference_row(xs, j, sigma):
-    """Row j of last_given_second from the raw points of the window (j, n].
+    """Row j of the conditional table from the raw points of the window (j, n].
 
     The sums run over the window's deviations from its own mean, forwards
     for the pre-change segments and backwards for the post-change ones, so
@@ -756,7 +759,7 @@ class TestFactoredTables:
         p_second = np.random.default_rng(13).dirichlet(np.ones(n + 1)) * 0.5
         p_second[[0, n - 1, n]] = 0.0
         expected = np.zeros(n + 1)
-        dense = tables.last_given_second
+        dense = dense_table(tables)
         for j in range(1, n - 1):
             ref = reference_row(xs, j, 1.0)
             got = dense[j]
@@ -898,7 +901,7 @@ class TestFusedBlockHeight:
             ref = tables[1]
             for rows in heights[1:]:
                 np.testing.assert_allclose(
-                    tables[rows].last_given_second, ref.last_given_second, rtol=1e-13, atol=0
+                    dense_table(tables[rows]), dense_table(ref), rtol=1e-13, atol=0
                 )
                 np.testing.assert_allclose(
                     tables[rows].last_from_second(p_second[: n + 1]),
@@ -907,7 +910,7 @@ class TestFusedBlockHeight:
 
 
 class TestTableViews:
-    """The dense ``last_given_second`` and the product ``last_from_second``
+    """The dense table (``dense_table``) and the product ``last_from_second``
     agree on every path."""
 
     @pytest.mark.parametrize(
@@ -932,11 +935,48 @@ class TestTableViews:
             assert floored_rows(xs, state._floor())
         else:
             assert kernel._table_path(state.config) == "dense"
-        dense = tables.last_given_second
+        dense = dense_table(tables)
         p_second = np.random.default_rng(23).dirichlet(np.ones(n + 1))
         np.testing.assert_allclose(
             tables.last_from_second(p_second), dense.T @ p_second, rtol=0, atol=1e-12
         )
+
+
+class TestWholeRows:
+    """On every path, the rows that the product form cannot hold are listed
+    in ``exact`` with ``row_scale`` 0 and stored whole in ``exact_rows``: the
+    known-sigma rows whose normaliser underflows, and the estimated-sigma
+    rows where the variance floor binds."""
+
+    @pytest.mark.parametrize("case", ["factored-sigma-0.1", "fused-floor-binding"])
+    def test_whole_rows_are_listed_with_row_scale_zero(self, monkeypatch, case):
+        if case == "factored-sigma-0.1":
+            xs = np.random.default_rng(11).standard_normal(90)
+            config = CppConfig(model=SingleCpModel(mu0=0.0, sigma=0.1))
+        else:
+            xs, config = floor_binding_series(), CppConfig(model=ESTIMATED)
+        state = run_series(xs, model=config.model)
+        n, floor = state.n, state._floor()
+        tables = build_conditional_tables(state.prefix, config, state.rng, floor)
+        exact = tables.exact
+        assert exact.size > 0
+        assert (tables.row_scale[exact] == 0.0).all()
+        assert tables.exact_rows.shape == (exact.size, n + 1)
+        held = np.setdiff1d(np.arange(1, n - 1), exact)
+        assert (tables.row_scale[held] > 0.0).all()
+        if case == "factored-sigma-0.1":
+            # whole are exactly the rows whose normaliser Z_j underflows
+            z = tables.weights[1 : n - 1] @ tables.post
+            np.testing.assert_array_equal(exact, np.flatnonzero(z < kernel._MIN_ROW_NORM) + 1)
+            for row, j in zip(tables.exact_rows, exact):
+                np.testing.assert_allclose(row, reference_row(xs, j, 0.1), rtol=0, atol=1e-9)
+        else:
+            # row n-2 has one split, of weight 1 whatever the floor
+            np.testing.assert_array_equal(exact, np.setdiff1d(floored_rows(xs, floor), [n - 2]))
+            monkeypatch.setattr(kernel, "_table_path", lambda config: "dense")
+            dense = build_conditional_tables(state.prefix, config, state.rng, floor)
+            np.testing.assert_allclose(tables.exact_rows, dense.weights[exact], rtol=1e-13,
+                                       atol=0)
 
 
 def css_post_formula(S, Q, n):
@@ -1029,7 +1069,7 @@ class TestProductBlockHeight:
     triangle of their operand, in blocks of ``_PRODUCT_BLOCK_ROWS`` rows.
     Whatever the height, Z (through ``row_scale``), ``last_from_second`` and
     the memo lookup in ``jacobi_step`` agree with products of the dense
-    ``last_given_second`` and memo to rounding; up to the height, each is
+    table (``dense_table``) and memo to rounding; up to the height, each is
     the single product over the whole operand, bit for bit."""
 
     @pytest.mark.parametrize(
@@ -1053,9 +1093,9 @@ class TestProductBlockHeight:
             if case == "factored-whole-rows":
                 assert tables.exact.size > 0
             elif case == "fused-floored-rows":
-                assert (tables.row_scale[n - 15 : n - 2] == 1.0).all()
+                assert np.isin(np.arange(n - 15, n - 2), tables.exact).all()
             z = tables.weights[1 : n - 1] @ tables.post
-            row_scale, dense = tables.row_scale, tables.last_given_second
+            row_scale, dense = tables.row_scale, dense_table(tables)
             got_last = tables.last_from_second(p_second)
             _, got_second, _ = jacobi_step(p_last, p_second, tables)
             expected_second = np.minimum(memo.T @ p_last[:n], 1.0)

@@ -5,7 +5,12 @@ import pytest
 
 from cpdetect.gaussian_stats import EstimationMode, PrefixStats
 from cpdetect.kernel import CppConfig, CppState, SingleCpModel, build_conditional_tables
-from oracles import InsufficientDataError, posterior_exactly_one_var, posterior_zero_or_one_var
+from oracles import (
+    InsufficientDataError,
+    dense_table,
+    posterior_exactly_one_var,
+    posterior_zero_or_one_var,
+)
 
 
 class TestPosteriorExactlyOneVar:
@@ -138,10 +143,11 @@ class TestKernelWithVarianceChange:
             n = len(xs)
             floor = 1e-8 * xs.var(ddof=1)
             tables = build_conditional_tables(PrefixStats(xs), config, rng, floor)
+            dense = dense_table(tables)
             for j in range(1, n - 3):
                 ref = posterior_exactly_one_var(xs[j:], floor=floor, start=j + 1)
                 np.testing.assert_allclose(
-                    tables.last_given_second[j, j + 1 : n], ref.values, rtol=0, atol=1e-9
+                    dense[j, j + 1 : n], ref.values, rtol=0, atol=1e-9
                 )
             _, ref = posterior_zero_or_one_var(xs, floor=floor)
             np.testing.assert_allclose(tables.last_given_hzero[1:n], ref.values, rtol=0, atol=1e-9)
