@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -138,7 +139,7 @@ def _parse_segment(text: str):
             f"segment {text!r} must be LENGTH:MU:SIGMA"
         )
     length, mu, sigma = int(parts[0]), float(parts[1]), float(parts[2])
-    if length < 1 or sigma <= 0:
+    if length < 1 or not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0):
         raise argparse.ArgumentTypeError(f"bad segment {text!r}")
     return length, mu, sigma
 

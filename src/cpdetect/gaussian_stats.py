@@ -74,14 +74,17 @@ class PrefixStats:
 
 def real_number(name: str, value) -> float:
     """``value`` as a Python float; a ValueError naming ``name`` unless it is a
-    real number, not a bool, that a float can hold."""
+    real number, not a bool, that a float holds as a finite value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ValueError(f"{name} must be finite as a float, and this "
                          f"{type(value).__name__} overflows one") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, not {number!r}")
+    return number
 
 
 def variance_floor(global_variance: float | None) -> float:

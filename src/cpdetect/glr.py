@@ -9,7 +9,6 @@ onset j and takes the best log-likelihood ratio of the segment j..k.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,6 @@ class GlrConfig:
     def __post_init__(self):
         for name in ("mu0", "sigma", "nu_min"):
             object.__setattr__(self, name, real_number(name, getattr(self, name)))
-        finite = math.isfinite
-        if not (finite(self.mu0) and finite(self.sigma) and finite(self.nu_min)):
-            raise ValueError("mu0, sigma and nu_min must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.nu_min < 0:

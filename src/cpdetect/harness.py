@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .gaussian_stats import EstimationMode
+from .gaussian_stats import EstimationMode, real_number
 from .glr import GlrConfig, GlrState, glr_decision
 from .kernel import CppConfig, CppState, SingleCpModel
 
@@ -59,12 +60,16 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mu0", "mu1", "sigma", "rho"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must be in (0, 1)")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.horizon_after_t0 < 1:
-            raise ValueError("horizon_after_t0 must be positive")
+        h = self.horizon_after_t0
+        if not isinstance(h, numbers.Integral) or isinstance(h, bool) or h < 1:
+            raise ValueError(f"horizon_after_t0 must be an integer >= 1, not {h!r}")
+        object.__setattr__(self, "horizon_after_t0", int(h))
 
 
 @dataclass(frozen=True)
@@ -221,11 +226,13 @@ def threshold_sweep(
     A trial's data stream depends only on (spec.seed, trial index), so
     sweeps for different detector kinds are data-matched.  Rows whose
     out-of-bounds count exceeds the trim budget, or with fewer than 20
-    surviving trials, get a NaN mean delay.  ``jobs > 1`` runs the trials in
-    that many worker processes; ``jobs=1`` starts none.
+    surviving trials, get a NaN mean delay.  The trials run in
+    min(jobs, n_trials) worker processes, or in this one if that is 1.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs!r}")
     if thresholds is None:
         thresholds = (
             CPP_DEFAULT_THRESHOLDS if detector_kind is DetectorKind.CPP
@@ -236,8 +243,9 @@ def threshold_sweep(
         raise ValueError("thresholds must be non-empty")
 
     trial = partial(_trial_alarm_times, spec, detector_kind, params, thresholds)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, n_trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(trial, range(n_trials), chunksize=8))
     else:
         outcomes = list(map(trial, range(n_trials)))

@@ -43,8 +43,8 @@ Per-step cost at n points, by mode:
   (T / min_i T) ** (-(n - j) / 2).  css(j, i) is cached like E above, and
   each step makes one fused pass over the upper triangle, a block of B rows
   at a time: O(n^2 / 2) time.  Each block runs in one contiguous B x n
-  scratch array that the cache keeps, O(B n) memory, with the cells at or
-  below the diagonal, which all lie in the block's leading square, masked
+  work array, allocated fresh each step, O(B n) memory, with the cells at
+  or below the diagonal, which all lie in the block's leading square, masked
   so that every log and exp sees a finite value; the finished rows are
   written once into the step's fresh (n + 1) x (n + 1) array of weights.
   Rows where the floor binds are stored whole.  The p_last update is then
@@ -122,8 +122,6 @@ class SingleCpModel:
                 object.__setattr__(self, name, real_number(name, value))
         if not (0.0 < self.change_prior_f < 1.0):
             raise ValueError("change_prior_f must be in (0, 1)")
-        if self.mu0 is not None and not math.isfinite(self.mu0):
-            raise ValueError("known mu0 must be finite")
         # the kernel divides by sigma^2, which must neither overflow nor underflow
         s2 = None if self.sigma is None else self.sigma * self.sigma
         if s2 is not None and not (self.sigma > 0 and 0 < s2 < math.inf):
@@ -285,12 +283,15 @@ def _square_zeros(cap: int) -> np.ndarray:
 
 
 def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
-    """``buf`` if it has ``need`` rows and columns; else a zeroed square
-    buffer at least twice as large, but for a copy of the leading used x used
-    block of ``buf``."""
-    if buf.shape[0] >= need:
+    """``buf`` if it has ``need`` rows and columns; else a zeroed square buffer
+    of ``buf``'s capacity doubled until ``need`` fits, but for a copy of its
+    leading used x used block.  So a buffer grown at once, as a restore grows
+    one, gets the capacity that growing it step by step gives."""
+    cap = buf.shape[0]
+    if cap >= need:
         return buf
-    cap = max(2 * buf.shape[0], need)
+    while cap < need:
+        cap *= 2
     grown = _square_zeros(cap)
     grown[:used, :used] = buf[:used, :used]
     return grown
@@ -308,25 +309,18 @@ class CssCache:
 
     css(j, i) is the centered sum of squares of the segment (j, i].  Column
     i depends only on the points up to i, so the cache grows by one O(n)
-    column per observation.  Nothing writes below the diagonal, which the
-    fused pass and the dense rows mask, and the buffer comes from
-    :func:`_square_zeros`, so only pages that hold part of the upper triangle
-    become resident.  The newest column, css(i, n) for i = 0..n, which the
-    table build and the zero-or-one posterior read, is also kept whole as
-    ``css_post``, and so is the flat work buffer of the fused pass.
+    column per observation, or, after a restore, by every column at once,
+    in a buffer that :func:`_grown` sizes either way.  Nothing writes below
+    the diagonal, which the fused pass and the dense rows mask, so only pages
+    that hold part of the upper triangle become resident.  The newest column,
+    css(i, n) for i = 0..n, which the table build and the zero-or-one
+    posterior read, is also kept whole as ``css_post``.
     """
 
     def __init__(self):
         self._buf = np.zeros((8, 8))
         self._n = 0
-        self._scratch = np.empty(0)
         self.css_post = np.zeros(1)
-
-    def scratch(self, size: int) -> np.ndarray:
-        """A flat work buffer of at least ``size`` floats, kept between steps."""
-        if self._scratch.size < size:
-            self._scratch = np.empty(max(2 * self._scratch.size, size))
-        return self._scratch
 
     def _store(self, css: np.ndarray, out: np.ndarray) -> None:
         """Write the entries for ``css`` into ``out``."""
@@ -417,7 +411,7 @@ def build_conditional_tables(
     elif path == "factored":
         rows = _factored_rows(n, cached, cache.css_post, config)
     else:
-        rows = _fused_rows(n, cached, cache, floor)
+        rows = _fused_rows(n, cached, cache.css_post, floor)
     weights, post, row_scale, exact = rows
     exact_rows = np.zeros((0, n + 1))
     if exact.size:
@@ -477,11 +471,10 @@ def _factored_rows(n, weights, css_post, config: CppConfig):
 _FUSED_BLOCK_ROWS = 64
 
 
-def _fused_rows(n, css_pre, cache: CssCache, floor):
+def _fused_rows(n, css_pre, css_post, floor):
     """The product form of the estimated-sigma tables, in one fused pass over
     the upper triangle; ``exact`` lists the rows where the variance floor
     binds, whose log-likelihood this form cannot express."""
-    css_post = cache.css_post
     pos = np.arange(n + 1)
 
     # rows j in [1, n-2] use the columns (j, n-1].  Row j's window (j, n]
@@ -493,12 +486,12 @@ def _fused_rows(n, css_pre, cache: CssCache, floor):
     exact = []
     rows = _FUSED_BLOCK_ROWS
     # A block of rows r0..r1-1 over the columns r0+1..n-1 runs in one
-    # contiguous scratch array.  Its cells with i <= j all lie in the leading
+    # contiguous work array.  Its cells with i <= j all lie in the leading
     # square, strictly below that square's diagonal; they are set to +inf for
     # the row min, to the row min for the divide, and to 0 for the row sum,
     # so no non-finite value reaches a log or an exp.
     below = np.tri(rows, rows, -1, dtype=bool)
-    flat = cache.scratch(rows * (n - 2))
+    flat = np.empty(rows * max(n - 2, 0))
     m_all = (n - pos).astype(float)
     dof_all = np.maximum(m_all - 2.0, 1.0)
     for r0 in range(1, n - 2, rows):
@@ -669,22 +662,14 @@ def _clamp_unit(a: np.ndarray) -> None:
 
 
 class PosteriorMatrix:
-    """Triangular store of the p_last vector computed at every step."""
+    """Triangular store of the p_last vector computed at every step: rows
+    k = 1..n, each holding P_k(1..k), built from :meth:`packed`'s n(n+1)/2
+    values (empty by default) in a buffer that :func:`_grown` sizes."""
 
-    def __init__(self):
-        self._buf = np.zeros((8, 8))
-        self._n = 0
-
-    @classmethod
-    def from_packed(cls, values: np.ndarray, n: int) -> "PosteriorMatrix":
-        """The store of rows k = 1..n, each holding P_k(1..k), from
-        :meth:`packed`'s n(n+1)/2 values."""
-        store = cls()
-        cap = max(8, 1 << n.bit_length())  # the size n appends would have grown it to
-        store._buf = _square_zeros(cap)
-        store._buf[1 : n + 1, 1 : n + 1][np.tri(n, dtype=bool)] = values
-        store._n = n
-        return store
+    def __init__(self, values=(), n: int = 0):
+        self._buf = _grown(np.zeros((8, 8)), 0, n + 1)
+        self._buf[1 : n + 1, 1 : n + 1][np.tri(n, dtype=bool)] = values
+        self._n = n
 
     def __len__(self) -> int:
         return self._n
@@ -917,7 +902,7 @@ class CppState:
         for x in state.series:
             state._append_prefix(x)  # rejects a non-finite series
         rows = _unpack(doc, "posterior_rows", n * (n + 1) // 2)
-        state.history = PosteriorMatrix.from_packed(_probabilities("posterior_rows", rows), n)
+        state.history = PosteriorMatrix(_probabilities("posterior_rows", rows), n)
         p_second = _probabilities("p_second", _unpack(doc, "p_second", n))
         state.p_second = np.concatenate([[0.0], p_second])
         return state

@@ -306,6 +306,14 @@ class TestSynthCommand:
         assert "bad segment '0:1:1'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("segment", ["5:nan:1", "5:0:inf", "5:inf:1", "5:0:nan"])
+    def test_non_finite_segment_is_usage_error(self, tmp_path, capsys, segment):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--segment", segment, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert f"bad segment '{segment}'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_seeded_synth_is_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["synth", "--segment", "20:1:2", "--out", str(a), "--seed", "8"])
@@ -369,8 +377,12 @@ class TestBenchCommand:
             (["--sigma-sweep", "1,x"], "'x'"),
             (["--trials", "0"], "n_trials"),
             (["--h", "0.5,0.9"], "--detector"),
+            (["--mu1", "inf", "--detector", "cpp"], "mu1"),
+            (["--sigma", "nan"], "sigma"),
+            (["--jobs", "0"], "jobs"),
         ],
-        ids=["rho", "sigma-sweep", "zero-trials", "h-without-detector"],
+        ids=["rho", "sigma-sweep", "zero-trials", "h-without-detector", "mu1-inf",
+             "sigma-nan", "zero-jobs"],
     )
     def test_bad_bench_input_is_usage_error(self, tmp_path, capsys, flags, message):
         prefix = tmp_path / "bad"

@@ -231,6 +231,36 @@ class TestThresholdSweep:
         parallel = threshold_sweep(FAST_SPEC, kind, thresholds=thresholds, n_trials=40, jobs=2)
         assert serial.rows == parallel.rows
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[3.0], n_trials=5, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, n_trials, workers", [(64, 5, [5]), (3, 10, [3]), (2, 1, [])],
+                             ids=["more-jobs-than-trials", "fewer-jobs", "one-trial"])
+    def test_never_more_workers_than_trials(self, monkeypatch, jobs, n_trials, workers):
+        started = []
+
+        class InProcessPool:  # records its size and maps here, starting no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        sweep = threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[4.0],
+                                n_trials=n_trials, jobs=jobs)
+        assert started == workers
+        assert sweep.rows == threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[4.0],
+                                             n_trials=n_trials).rows
+
 
 class TestInterpolateAtAlpha:
     def _sweep(self, pts):
@@ -285,6 +315,21 @@ class TestSpecValidation:
             ScenarioSpec(sigma=-1.0)
         with pytest.raises(ValueError):
             ScenarioSpec(horizon_after_t0=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mu1", math.inf), ("mu0", math.nan), ("sigma", math.inf), ("mu1", "1"),
+        ("sigma", True), ("mu0", 10**400), ("horizon_after_t0", 2.5),
+        ("horizon_after_t0", True), ("horizon_after_t0", "100"),
+    ], ids=["mu1-inf", "mu0-nan", "sigma-inf", "mu1-str", "sigma-bool", "mu0-overflows",
+            "horizon-float", "horizon-bool", "horizon-str"])
+    def test_scenario_rejects_bad_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec(**{field: value})
+
+    def test_scenario_numbers_are_python_numbers(self):
+        spec = ScenarioSpec(mu1=np.float32(1.5), sigma=2, horizon_after_t0=np.int64(50))
+        assert type(spec.mu1) is float and spec.mu1 == 1.5
+        assert type(spec.sigma) is float and type(spec.horizon_after_t0) is int
 
     def test_detector_params_defaults(self):
         params = DetectorParams()

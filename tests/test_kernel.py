@@ -285,6 +285,15 @@ class TestMemoization:
         with pytest.raises(IndexError):
             pm.row(5)
 
+    def test_posterior_matrix_is_built_from_packed_rows(self):
+        empty = PosteriorMatrix()
+        assert len(empty) == 0 and empty.packed().size == 0
+        values = np.random.default_rng(4).random(10 * 11 // 2)
+        store = PosteriorMatrix(values, 10)
+        assert len(store) == 10
+        np.testing.assert_array_equal(store.packed(), values)
+        np.testing.assert_array_equal(store.row(3), values[3:6])
+
     def test_matrix_view_is_read_only(self):
         state = run_series(np.random.default_rng(3).standard_normal(8))
         before = state.history.row(5).copy()
@@ -856,6 +865,14 @@ class TestFusedTables:
         dense = run_dense(xs, monkeypatch, model=ESTIMATED, jacobi_iterations=3)
         assert_states_close(fused, dense, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tables_before_the_first_row(self, n):
+        # rows j in [1, n-2] are empty, so the fused pass has no block
+        prefix = PrefixStats(np.random.default_rng(19).standard_normal(n))
+        tables = build_conditional_tables(prefix, CppConfig(model=ESTIMATED), None, 1e-6)
+        assert tables.n == n and tables.exact.size == 0
+        assert not tables.weights.any() and not tables.row_scale.any()
+
     def test_snapshot_resume_is_bit_identical(self):
         xs = np.random.default_rng(18).standard_normal(60)
         xs[25:] += 1.5
@@ -1191,3 +1208,21 @@ class TestLargeBuffers:
         assert_same_state(resumed, half)
         resumed.observe(xs[520])
         assert_same_state(resumed, full)
+
+
+class TestRestoredCapacity:
+    """One doubling rule sizes the history and the cache, grown step by step
+    or, by a restore, at once."""
+
+    @pytest.mark.parametrize("model", [KNOWN, ESTIMATED], ids=["known", "estimated"])
+    @pytest.mark.parametrize("at", [7, 8, 63, 64, 511, 512])
+    def test_restored_buffers_match_the_streamed_ones(self, model, at):
+        xs = two_shift_stream(at + 3, 8)
+        streamed = run_series(xs[:at], model=model)
+        restored = CppState.from_json(streamed.to_json())
+        for x in xs[at:]:
+            streamed.observe(x)
+            restored.observe(x)
+            assert restored.history._buf.shape == streamed.history._buf.shape
+            assert restored._cache._buf.shape == streamed._cache._buf.shape
+            assert_same_state(restored, streamed)
