@@ -4,9 +4,9 @@ The options the subcommands share are declared once, on parent parsers:
 ``--seed`` on all three (falling back to the ``CPP_SEED`` environment
 variable, then 0), and ``--mode``, ``--f`` and ``--nu-min`` on ``detect`` and
 ``bench``.  A command reports bad input by raising: ``main`` turns a
-``ValueError`` or ``OSError`` (an unreadable series file, a config the kernel
-or harness rejects, an unwritable path) into ``error: <message>`` on stderr
-and exit code 2, the code argparse gives its own usage errors.
+``ValueError`` or ``OSError`` (an unreadable series file, a config or data a
+detector rejects, an option the chosen detector does not read, an unwritable
+path) into ``error: <message>`` on stderr and exit code 2, as argparse does.
 """
 
 from __future__ import annotations
@@ -41,6 +41,21 @@ def _resolve_seed(value):
         return int(value)
     env = os.environ.get("CPP_SEED")
     return int(env) if env else 0
+
+
+#: Per detector, the options only it reads and their defaults, which a run of the other must keep
+_DETECTOR_OPTIONS = {
+    "cpp": dict(mode=EstimationMode.PLUG_IN, f=0.005, variance_change=False, jacobi_iterations=1),
+    "glr": dict(nu_min=0.5),
+}
+
+
+def _reject_unread_options(args) -> None:
+    detector = getattr(args, "detector", None)  # None: both run, or neither
+    for owner, options in _DETECTOR_OPTIONS.items():
+        for dest, default in options.items():
+            if detector not in (None, owner) and getattr(args, dest, default) != default:
+                raise ValueError(f"--{dest.replace('_', '-')} applies only to --detector {owner}")
 
 
 def _fmt(x: float) -> str:
@@ -192,10 +207,7 @@ def cmd_bench(args) -> int:
         print(f"wrote {path}")
         return 0
 
-    kinds = (
-        [DetectorKind(args.detector)] if args.detector else
-        [DetectorKind.CPP, DetectorKind.GLR]
-    )
+    kinds = [DetectorKind(args.detector)] if args.detector else list(DetectorKind)
     thresholds = [float(h) for h in args.h.split(",")] if args.h else None
     sweeps = {}
     for kind in kinds:
@@ -241,11 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=int, default=None,
                         help="seed (falls back to env CPP_SEED, then 0)")
     detector = argparse.ArgumentParser(add_help=False)
-    detector.add_argument("--mode", type=EstimationMode, default=EstimationMode.PLUG_IN,
-                          metavar="{plugin,sample}")
-    detector.add_argument("--f", type=float, default=0.005,
-                          help="prior per-step change probability")
-    detector.add_argument("--nu-min", type=float, default=0.5)
+    # the defaults of every option only one detector reads, detect's own too
+    detector.set_defaults(**_DETECTOR_OPTIONS["cpp"], **_DETECTOR_OPTIONS["glr"])
+    detector.add_argument("--mode", type=EstimationMode, metavar="{plugin,sample}")
+    detector.add_argument("--f", type=float, help="prior per-step change probability")
+    detector.add_argument("--nu-min", type=float)
 
     p = sub.add_parser("detect", parents=[seeded, detector],
                        help="run a detector over a series file")
@@ -256,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="known pre-change mean (omit to estimate)")
     p.add_argument("--sigma", type=float, default=None,
                    help="known std dev (omit to estimate)")
-    p.add_argument("--jacobi-iterations", type=int, default=1)
+    p.add_argument("--jacobi-iterations", type=int)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--output", default=None, help="write the report here")
     p.add_argument("--snapshot", default=None, help="write a state snapshot (JSON)")
@@ -296,6 +308,7 @@ def main(argv=None) -> int:
         parser.error(f"{option} goes after the subcommand, as in 'cpdetect bench {option} ...'")
     args = parser.parse_args(argv)
     try:
+        _reject_unread_options(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

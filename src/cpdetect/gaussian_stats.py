@@ -33,16 +33,19 @@ class PrefixStats:
 
     Stores cumulative count/sum/sumsq, so the total space is linear in the
     number of observations even though every contiguous segment is queryable.
-    The sums live in float64 buffers that double when full.
+    The sums live in one float64 buffer, a row each, that doubles when full.
+    They are taken about ``ref``, or the first observation if it is None, so a
+    sum of squares Q - S^2 / m cancels only as far as the data spread about
+    that point (Chan, Golub & LeVeque 1983); about a known mean mu0, a
+    segment's squared deviations from it are a difference of prefix sums.
     """
 
-    def __init__(self, data=None):
-        self._sum = np.zeros(16)
-        self._sumsq = np.zeros(16)
+    def __init__(self, data=(), ref: float | None = 0.0):
+        self._sums = np.zeros((2, 16))
         self._n = 0
-        if data is not None:
-            for x in np.asarray(data, dtype=float):
-                self.append(float(x))
+        self.ref = ref
+        for x in np.asarray(data, dtype=float):
+            self.append(float(x))
 
     def __len__(self) -> int:
         return self._n
@@ -50,26 +53,24 @@ class PrefixStats:
     def append(self, x: float) -> None:
         if not math.isfinite(x):
             raise ValueError("observation must be finite")
-        n = self._n
+        self.ref = x if self.ref is None else self.ref
+        d, n = x - self.ref, self._n
         # by Cauchy-Schwarz, every squared segment sum is at most m * sumsq
         # <= (n + 1) * Q, so this keeps all of them finite
-        if not math.isfinite((n + 1) * (float(self._sumsq[n]) + x * x)):
-            raise ValueError(
-                f"observation {x!r} is too large: the squares of the series would overflow"
-            )
-        if n + 1 == len(self._sum):
-            self._sum = np.concatenate([self._sum, np.zeros(n + 1)])
-            self._sumsq = np.concatenate([self._sumsq, np.zeros(n + 1)])
-        self._sum[n + 1] = self._sum[n] + x
-        self._sumsq[n + 1] = self._sumsq[n] + x * x
+        if not math.isfinite((n + 1) * (float(self._sums[1, n]) + d * d)):
+            raise ValueError(f"observation {x!r} lies {d!r} from the reference point "
+                             f"{self.ref!r}: its square would overflow the sums")
+        if n + 1 == self._sums.shape[1]:
+            self._sums = np.concatenate([self._sums, np.zeros((2, n + 1))], axis=1)
+        self._sums[0, n + 1] = self._sums[0, n] + d
+        self._sums[1, n + 1] = self._sums[1, n] + d * d
         self._n = n + 1
 
     def arrays(self):
         """Prefix sum / sumsq as read-only views of length n+1 (index 0 is zero)."""
-        views = self._sum[: self._n + 1], self._sumsq[: self._n + 1]
-        for v in views:
-            v.flags.writeable = False
-        return views
+        view = self._sums[:, : self._n + 1]
+        view.flags.writeable = False
+        return view[0], view[1]
 
 
 def real_number(name: str, value) -> float:
@@ -85,6 +86,13 @@ def real_number(name: str, value) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, not {number!r}")
     return number
+
+
+def check_sigma(sigma: float) -> None:
+    """A ValueError unless ``sigma`` and its square, a divisor, are positive and finite."""
+    if not (sigma > 0 and 0 < sigma * sigma < math.inf):
+        raise ValueError(f"known sigma must be positive and finite, and so must its "
+                         f"square: sigma={sigma!r} squares to {sigma * sigma!r}")
 
 
 def variance_floor(global_variance: float | None) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_stats import PrefixStats, real_number
+from .gaussian_stats import PrefixStats, check_sigma, real_number
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class GlrConfig:
     def __post_init__(self):
         for name in ("mu0", "sigma", "nu_min"):
             object.__setattr__(self, name, real_number(name, getattr(self, name)))
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        check_sigma(self.sigma)
         if self.nu_min < 0:
             raise ValueError("nu_min must be nonnegative")
 
@@ -68,7 +67,7 @@ class GlrState:
                              "of numbers")
         state = cls()
         for x in series:
-            state.observe(x)
+            state.observe(real_number("series", x))  # an int can overflow a float
         return state
 
 

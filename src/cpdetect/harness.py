@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .gaussian_stats import EstimationMode, real_number
+from .gaussian_stats import EstimationMode, check_sigma, real_number
 from .glr import GlrConfig, GlrState, glr_decision
 from .kernel import CppConfig, CppState, SingleCpModel
 
@@ -64,8 +64,7 @@ class ScenarioSpec:
             object.__setattr__(self, name, real_number(name, getattr(self, name)))
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must be in (0, 1)")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        check_sigma(self.sigma)
         h = self.horizon_after_t0
         if not isinstance(h, numbers.Integral) or isinstance(h, bool) or h < 1:
             raise ValueError(f"horizon_after_t0 must be an integer >= 1, not {h!r}")
@@ -179,9 +178,10 @@ def _trial_alarm_times(spec, kind, params, thresholds, trial_index):
             detector.observe(x)
             g = decision()
         except Exception as exc:
-            raise RuntimeError(
-                f"detector failed at step {k} of trial {trial_index} (t0={t0})"
-            ) from exc
+            where = f"detector failed at step {k} of trial {trial_index} (t0={t0})"
+            if isinstance(exc, ValueError):  # the detector rejected the trial's data
+                raise ValueError(f"{where}: {exc}") from exc
+            raise RuntimeError(where) from exc
         while pending < len(sorted_h) and g >= sorted_h[pending]:
             t_a[order[pending]] = k
             pending += 1

@@ -65,11 +65,6 @@ variance's chi-square, then a normal per segment of unknown mean, pre-change
 first (per-segment variances: the pre-change chi-square and normal, then the
 post-change ones); the zero-or-one posterior's no-change draws come last.
 
-The prefix sums are taken about a reference point, the known mu0 or else the
-first observation (Chan, Golub & LeVeque 1983): a sum of squares Q - S^2 / m
-then cancels only as far as the data spread about that point, and with a known
-mu0 a segment's squared deviations from it are a difference of prefix sums.
-
 The weights are strictly upper triangular and the memo lower triangular, so
 above B = ``_PRODUCT_BLOCK_ROWS`` points each matrix-vector product reads only
 the filled triangle, in blocks of B rows: about n^2 / 2 + n B / 2 cells, not (n + 1)^2.
@@ -97,7 +92,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_stats import LOG_2PI, EstimationMode, PrefixStats, real_number, variance_floor
+from .gaussian_stats import (LOG_2PI, EstimationMode, PrefixStats, check_sigma, real_number,
+                             variance_floor)
 
 
 @dataclass(frozen=True)
@@ -122,11 +118,8 @@ class SingleCpModel:
                 object.__setattr__(self, name, real_number(name, value))
         if not (0.0 < self.change_prior_f < 1.0):
             raise ValueError("change_prior_f must be in (0, 1)")
-        # the kernel divides by sigma^2, which must neither overflow nor underflow
-        s2 = None if self.sigma is None else self.sigma * self.sigma
-        if s2 is not None and not (self.sigma > 0 and 0 < s2 < math.inf):
-            raise ValueError(f"known sigma must be positive and finite, and so must its "
-                             f"square: sigma={self.sigma!r} squares to {s2!r}")
+        if self.sigma is not None:
+            check_sigma(self.sigma)
 
 
 @dataclass
@@ -390,15 +383,14 @@ def build_conditional_tables(
 ) -> ConditionalTables:
     """Conditional changepoint posteriors for every suffix window at once.
 
-    ``prefix`` holds the sums of the series' deviations from a reference
-    point, which must be the known mu0 when the config has one; with an
-    unknown mean any point serves, and :class:`CppState` takes the first
-    observation.  ``floor`` is the variance floor, which a known-sigma
-    config never reads.  ``cache``, the config's column cache (a fresh one
-    if None), is extended to the prefix.  ``memo`` is the
-    history of p_last rows from steps 1..n-1 (empty if None).  Every table
-    covers the whole series, and the rows stored whole are computed here
-    for every path.
+    ``prefix`` holds the series' sums about its reference point, which must be
+    the known mu0 when the config has one, as ``PrefixStats(ref=mu0)`` takes
+    them; with an unknown mean any point serves, and :class:`CppState` takes
+    the first observation.  ``floor`` is the variance floor, which a
+    known-sigma config never reads.  ``cache``, the config's column cache (a
+    fresh one if None), is extended to the prefix.  ``memo`` is the history of
+    p_last rows from steps 1..n-1 (empty if None).  Every table covers the
+    whole series, and the rows stored whole are computed here for every path.
     """
     n = len(prefix)
     S, Q = prefix.arrays()
@@ -751,8 +743,7 @@ class CppState:
             raise ValueError(f"rng draws from {type(self.rng.bit_generator).__name__}, but a "
                              f"snapshot can restore only PCG64")
         self.series: list[float] = []
-        self.prefix = PrefixStats()  # sums of x - _ref, mu0 or else the first x
-        self._ref = self.config.model.mu0
+        self.prefix = PrefixStats(ref=self.config.model.mu0)
         self.history = PosteriorMatrix()
         self.p_second = np.zeros(1)
         # not serialized: a function of the series, which the first observe
@@ -781,21 +772,10 @@ class CppState:
         n, (S, Q) = self.n, self.prefix.arrays()
         return variance_floor(_css(S[n], Q[n], n) / (n - 1) if n >= 2 else None)
 
-    def _append_prefix(self, x: float) -> None:
-        """Add x's deviation from the reference point to the prefix sums."""
-        if not math.isfinite(x):
-            raise ValueError("observation must be finite")
-        self._ref = x if self._ref is None else self._ref
-        try:
-            self.prefix.append(x - self._ref)
-        except ValueError:  # name the deviation, which is what overflows
-            raise ValueError(f"observation {x!r} lies {x - self._ref!r} from the reference "
-                             f"point {self._ref!r}: its square would overflow the sums") from None
-
     def observe(self, x: float) -> None:
         """Advance the detector by one observation."""
         x = float(x)
-        self._append_prefix(x)
+        self.prefix.append(x)
         self.series.append(x)
         n = self.n
         if n == 1:
@@ -899,8 +879,7 @@ class CppState:
             raise ValueError(f"snapshot 'rng_state' is not a PCG64 state: {exc}") from None
         state.series = _unpack(doc, "series").tolist()
         n = state.n
-        for x in state.series:
-            state._append_prefix(x)  # rejects a non-finite series
+        state.prefix = PrefixStats(state.series, ref=config.model.mu0)
         rows = _unpack(doc, "posterior_rows", n * (n + 1) // 2)
         state.history = PosteriorMatrix(_probabilities("posterior_rows", rows), n)
         p_second = _probabilities("p_second", _unpack(doc, "p_second", n))

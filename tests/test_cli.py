@@ -16,6 +16,8 @@ from cpdetect.datasets import (
     read_series_text,
     write_series,
 )
+from cpdetect.glr import GlrConfig
+from cpdetect.kernel import CppConfig
 
 
 class TestSeriesFiles:
@@ -119,8 +121,11 @@ class TestDetectCommand:
             (["--sigma", "0"], "sigma must be positive"),
             (["--sigma", "nan"], "finite"),
             (["--nu-min", "inf"], "finite"),
+            (["--sigma", "1e200"], "sigma=1e+200 squares to inf"),
+            (["--sigma", "1e-200"], "sigma=1e-200 squares to 0.0"),
         ],
-        ids=["sigma-zero", "sigma-nan", "nu-min-inf"],
+        ids=["sigma-zero", "sigma-nan", "nu-min-inf", "sigma-square-overflows",
+             "sigma-square-underflows"],
     )
     def test_glr_config_error_is_usage_error(self, tmp_path, capsys, flags, message):
         path = tmp_path / "s.csv"
@@ -257,6 +262,51 @@ class TestSharedOptions:
         args = build_parser().parse_args([command, *extra, "--seed", "7"])
         assert args.seed == 7
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["detect", "nile", "--detector", "glr", "--variance-change"],
+             "--variance-change applies only to --detector cpp"),
+            (["detect", "nile", "--detector", "glr", "--jacobi-iterations", "3"],
+             "--jacobi-iterations applies only to --detector cpp"),
+            (["detect", "nile", "--detector", "glr", "--mode", "sample"],
+             "--mode applies only to --detector cpp"),
+            (["detect", "nile", "--detector", "glr", "--f", "0.2"],
+             "--f applies only to --detector cpp"),
+            (["detect", "nile", "--nu-min", "3"], "--nu-min applies only to --detector glr"),
+            (["bench", "--detector", "cpp", "--nu-min", "3"],
+             "--nu-min applies only to --detector glr"),
+            (["bench", "--detector", "glr", "--mode", "sample"],
+             "--mode applies only to --detector cpp"),
+            (["bench", "--detector", "glr", "--f", "0.2"], "--f applies only to --detector cpp"),
+        ],
+        ids=["detect-glr-variance-change", "detect-glr-jacobi", "detect-glr-mode",
+             "detect-glr-f", "detect-cpp-nu-min", "bench-cpp-nu-min", "bench-glr-mode",
+             "bench-glr-f"],
+    )
+    def test_option_the_detector_does_not_read_is_usage_error(self, tmp_path, capsys, argv,
+                                                                message):
+        known = ["--mu0", "1000", "--sigma", "150"] if argv[0] == "detect" else []
+        out = ["--trials", "25", "--out", str(tmp_path / "b")] if argv[0] == "bench" else []
+        rc = main([*argv, *known, *out])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_options_at_their_defaults_are_accepted(self, capsys):
+        from cpdetect.cli import build_parser
+
+        args = build_parser().parse_args(["detect", "nile"])
+        config, glr = CppConfig(), GlrConfig()
+        parsed = (args.mode, args.f, args.variance_change, args.jacobi_iterations, args.nu_min)
+        assert parsed == (config.estimation_mode, config.model.change_prior_f,
+                          config.variance_change, config.jacobi_iterations, glr.nu_min)
+        rc = main(["detect", "nile", "--detector", "glr", "--mu0", "1000", "--sigma", "150",
+                   "--f", "0.005", "--mode", "plugin", "--jacobi-iterations", "1"])
+        assert rc == 0
+        rc = main(["detect", "nile", "--nu-min", "0.5"])
+        assert rc == 0
+
     def test_mode_parses_to_estimation_mode(self):
         from cpdetect.cli import build_parser
         from cpdetect.gaussian_stats import EstimationMode
@@ -380,9 +430,13 @@ class TestBenchCommand:
             (["--mu1", "inf", "--detector", "cpp"], "mu1"),
             (["--sigma", "nan"], "sigma"),
             (["--jobs", "0"], "jobs"),
+            (["--mu1", "1e200", "--detector", "cpp"], "overflow"),
+            (["--mu1", "1e200", "--detector", "glr"], "overflow"),
+            (["--sigma", "1e-170", "--detector", "glr"], "sigma=1e-170 squares to 0.0"),
         ],
         ids=["rho", "sigma-sweep", "zero-trials", "h-without-detector", "mu1-inf",
-             "sigma-nan", "zero-jobs"],
+             "sigma-nan", "zero-jobs", "cpp-rejects-trial-data", "glr-rejects-trial-data",
+             "glr-sigma-square-underflows"],
     )
     def test_bad_bench_input_is_usage_error(self, tmp_path, capsys, flags, message):
         prefix = tmp_path / "bad"
@@ -390,6 +444,7 @@ class TestBenchCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1  # one line, no traceback
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):

@@ -129,6 +129,23 @@ class TestPrefixStats:
             prefix.append(math.inf)
         assert len(prefix) == 0
 
+    @pytest.mark.parametrize("ref", [3.0, None], ids=["known", "first-observation"])
+    def test_sums_are_taken_about_the_reference_point(self, ref):
+        data = 3.0 + np.random.default_rng(9).standard_normal(30)
+        prefix = PrefixStats(data, ref=ref)
+        point = data[0] if ref is None else ref
+        assert prefix.ref == point
+        for got, want in zip(prefix.arrays(), PrefixStats(data - point).arrays()):
+            np.testing.assert_array_equal(got, want)
+
+    def test_overflow_names_the_deviation_from_the_reference_point(self):
+        prefix = PrefixStats([1e200], ref=None)
+        with pytest.raises(ValueError, match=r"observation -1e\+200 lies -2e\+200 from the "
+                                             r"reference point 1e\+200: its square would "
+                                             r"overflow the sums"):
+            prefix.append(-1e200)
+        assert len(prefix) == 1
+
     def test_arrays_are_read_only_views_kept_across_growth(self):
         data = np.random.default_rng(8).standard_normal(70)
         prefix = PrefixStats(data[:20])

@@ -1,6 +1,7 @@
 """Tests for the GLR mean-shift detector, pinned by a grid-search oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,10 @@ class TestGlrState:
         with pytest.raises(ValueError, match="GLR snapshot"):
             GlrState.from_json(text)
 
+    def test_from_json_rejects_an_integer_that_overflows_a_float(self):
+        with pytest.raises(ValueError, match="series"):
+            GlrState.from_json('{"series": [1.0, 1' + "0" * 400 + "]}")
+
     def test_rejects_non_finite(self):
         state = GlrState()
         with pytest.raises(ValueError):
@@ -182,6 +187,12 @@ class TestGlrConfig:
     def test_rejects_a_parameter_that_is_not_a_real_number(self, param, value):
         with pytest.raises(ValueError, match=f"{param} must be a real number"):
             GlrConfig(**{param: value})
+
+    @pytest.mark.parametrize("sigma, square", [(1e160, "inf"), (1e-170, "0.0")],
+                             ids=["square-overflows", "square-underflows"])
+    def test_rejects_sigma_whose_square_is_not_a_positive_float(self, sigma, square):
+        with pytest.raises(ValueError, match=re.escape(f"sigma={sigma!r} squares to {square}")):
+            GlrConfig(sigma=sigma)
 
     def test_numpy_parameters_are_stored_as_python_floats(self):
         config = GlrConfig(mu0=np.float32(1.75), sigma=np.int64(2), nu_min=np.float32(0.5))

@@ -220,6 +220,18 @@ class TestThresholdSweep:
         assert str(exc.value) == f"detector failed at step 3 of trial 0 (t0={t0})"
         assert isinstance(exc.value.__cause__, ZeroDivisionError)
 
+    @pytest.mark.parametrize("kind", [DetectorKind.CPP, DetectorKind.GLR], ids=["cpp", "glr"])
+    def test_rejected_data_is_a_value_error_naming_its_step_and_trial(self, kind):
+        # the first post-change point's square overflows the prefix sums
+        spec = ScenarioSpec(mu1=1e200, seed=0)
+        t0, _ = generate_trial_data(spec, _trial_streams(spec, 0)[0])
+        with pytest.raises(ValueError) as exc:
+            threshold_sweep(spec, kind, thresholds=[1e12], n_trials=3)
+        message = str(exc.value)
+        assert message.startswith(f"detector failed at step {t0} of trial 0 (t0={t0}): ")
+        assert "overflow" in message
+        assert isinstance(exc.value.__cause__, ValueError)
+
     @pytest.mark.parametrize(
         "kind, thresholds",
         [(DetectorKind.GLR, [4.0]), (DetectorKind.CPP, [0.5, 0.9])],
@@ -319,9 +331,11 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field, value", [
         ("mu1", math.inf), ("mu0", math.nan), ("sigma", math.inf), ("mu1", "1"),
         ("sigma", True), ("mu0", 10**400), ("horizon_after_t0", 2.5),
-        ("horizon_after_t0", True), ("horizon_after_t0", "100"),
+        ("horizon_after_t0", True), ("horizon_after_t0", "100"), ("sigma", 1e160),
+        ("sigma", 1e-170),
     ], ids=["mu1-inf", "mu0-nan", "sigma-inf", "mu1-str", "sigma-bool", "mu0-overflows",
-            "horizon-float", "horizon-bool", "horizon-str"])
+            "horizon-float", "horizon-bool", "horizon-str", "sigma-square-overflows",
+            "sigma-square-underflows"])
     def test_scenario_rejects_bad_numbers(self, field, value):
         with pytest.raises(ValueError, match=field):
             ScenarioSpec(**{field: value})
