@@ -23,7 +23,7 @@ import numpy as np
 
 from .datasets import TimeSeries, nile, read_series, write_series
 from .gaussian_stats import EstimationMode
-from .glr import GlrConfig, GlrState, glr_decision
+from .glr import GlrConfig, GlrState
 from .harness import (
     DEFAULT_ALPHA,
     DetectorKind,
@@ -78,16 +78,10 @@ def _write_rows(path, rows, fmt: str) -> None:
 
 def cmd_detect(args) -> int:
     series = nile() if args.input == "nile" else read_series(args.input)
-    trace = []
     if args.detector == "glr":
         if args.mu0 is None or args.sigma is None:
             raise ValueError("the GLR detector needs --mu0 and --sigma")
-        cfg = GlrConfig(mu0=args.mu0, sigma=args.sigma, nu_min=args.nu_min)
-        state = GlrState()
-        for x in series.values:
-            state.observe(x)
-            trace.append(glr_decision(state, cfg))
-        report = {"detector": "glr", "g_trace": trace, "g_final": trace[-1]}
+        state = GlrState(GlrConfig(mu0=args.mu0, sigma=args.sigma, nu_min=args.nu_min))
     else:
         config = CppConfig(
             model=SingleCpModel(mu0=args.mu0, sigma=args.sigma, change_prior_f=args.f),
@@ -96,13 +90,15 @@ def cmd_detect(args) -> int:
             jacobi_iterations=args.jacobi_iterations,
         )
         state = CppState(config=config, rng=_resolve_seed(args.seed))
-        for x in series.values:
-            state.observe(x)
-            trace.append(state.decision_g())
+    trace = []
+    for x in series.values:
+        state.observe(x)
+        trace.append(state.decision_g())
+    report = {"detector": args.detector}
+    if args.detector == "cpp":
         p_last = state.query_p_last()
         p_second, p_hzero = state.query_p_second()
-        report = {
-            "detector": "cpp",
+        report.update({
             "n": len(series),
             "p_last": p_last.values.tolist(),
             "p_second": p_second.values.tolist(),
@@ -112,9 +108,8 @@ def cmd_detect(args) -> int:
             "p_last_argmax": p_last.argmax(),
             "p_last_argmax_label": series.label_of(p_last.argmax()),
             "p_second_argmax": p_second.argmax() if p_second.total() > 0 else None,
-            "g_trace": trace,
-            "g_final": trace[-1],
-        }
+        })
+    report.update(g_trace=trace, g_final=trace[-1])
     if args.snapshot:
         with open(args.snapshot, "w") as fh:
             fh.write(state.to_json())
@@ -187,6 +182,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.sigma_sweep and (args.detector or args.h):
+        raise ValueError("--sigma-sweep runs both detectors on their default grids, so it "
+                         "takes neither --detector nor --h")
     if args.h and not args.detector:
         # CPP thresholds are probabilities and GLR ones log-likelihood ratios
         raise ValueError("--h needs --detector: one threshold grid cannot serve both detectors")

@@ -9,7 +9,7 @@ onset j and takes the best log-likelihood ratio of the segment j..k.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,14 +34,15 @@ class GlrConfig:
 
 
 class GlrState:
-    """Running prefix sums; one observation appended per step.
+    """Running prefix sums about the config's mu0; one observation appended per step.
 
     The raw observations are kept too, so a snapshot restores them, and the
     prefix sums rebuilt from them, exactly.
     """
 
-    def __init__(self):
-        self.prefix = PrefixStats()
+    def __init__(self, config: GlrConfig = GlrConfig()):
+        self.config = config
+        self.prefix = PrefixStats(ref=config.mu0)
         self.series: list[float] = []
 
     @property
@@ -53,41 +54,50 @@ class GlrState:
         self.prefix.append(x)
         self.series.append(x)
 
+    def decision_g(self) -> float:
+        """The decision statistic after the newest observation."""
+        return glr_decision(self)
+
     def to_json(self) -> str:
-        return json.dumps({"series": self.series})
+        return json.dumps({"config": asdict(self.config), "series": self.series})
 
     @classmethod
     def from_json(cls, text: str) -> "GlrState":
         """Restore a :meth:`to_json` snapshot.  Raises ValueError on a document
-        that is not one: not an object, or without a ``series`` list of numbers."""
+        that is not one: not an object, without a ``config`` object of exactly
+        GlrConfig's fields, each valid, or without a ``series`` list of numbers."""
         doc = json.loads(text)
-        series = doc.get("series") if type(doc) is dict else None
+        doc = doc if type(doc) is dict else {}
+        config, series = doc.get("config"), doc.get("series")
+        if type(config) is not dict or config.keys() != {f.name for f in fields(GlrConfig)}:
+            raise ValueError("GLR snapshot must be a JSON object whose 'config' holds "
+                             "exactly mu0, sigma and nu_min")
         if type(series) is not list or not all(type(x) in (int, float) for x in series):
             raise ValueError("GLR snapshot must be a JSON object whose 'series' is a list "
                              "of numbers")
-        state = cls()
+        state = cls(GlrConfig(**config))
         for x in series:
             state.observe(real_number("series", x))  # an int can overflow a float
         return state
 
 
-def glr_decision(state: GlrState, config: GlrConfig) -> float:
+def glr_decision(state: GlrState) -> float:
     """Decision statistic g_k = max over onsets j of the best shifted LLR.
 
-    For the segment j..k with deviation sum s and length m, the
+    For the segment j..k with deviation sum s from mu0 and length m, the
     log-likelihood ratio at shift nu is (nu*s - m*nu^2/2) / sigma^2,
     maximized at nu = s/m; when |s/m| < nu_min the shift is projected to
     sign(s)*nu_min.  Both shift directions are allowed.  The statistic is
     clamped at 0 so it reads as "no evidence" rather than negative evidence.
     """
-    k = state.k
+    k, config = state.k, state.config
     if k < 1:
         raise ValueError("need at least one observation")
-    sums, _ = state.prefix.arrays()
+    sums, _ = state.prefix.arrays()  # about mu0
     sigma2 = config.sigma * config.sigma
     # deviation sums of segments j..k for j = 1..k, and their lengths
     m = np.arange(k, 0, -1, dtype=float)
-    s = (sums[k] - sums[:k]) - config.mu0 * m
+    s = sums[k] - sums[:k]
     nu = s / m
     small = np.abs(nu) < config.nu_min
     nu = np.where(small, np.where(s >= 0, config.nu_min, -config.nu_min), nu)

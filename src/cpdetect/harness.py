@@ -26,6 +26,7 @@ from functools import partial
 import numpy as np
 
 from .gaussian_stats import EstimationMode, check_sigma, real_number
+# glr_decision is re-exported for perfbench/tracing.py, which hooks harness.glr_decision
 from .glr import GlrConfig, GlrState, glr_decision
 from .kernel import CppConfig, CppState, SingleCpModel
 
@@ -134,17 +135,7 @@ def make_detector(kind: DetectorKind, spec: ScenarioSpec,
             estimation_mode=params.estimation_mode,
         )
         return CppState(config=config, rng=rng)
-    return GlrState()
-
-
-def _decision_fn(kind: DetectorKind, detector, spec: ScenarioSpec, params: DetectorParams):
-    """The detector's decision statistic as a function of no arguments.  A
-    GLR config is built once here, not once per step; the call goes through
-    this module's ``glr_decision`` so that it can be rebound."""
-    if kind is DetectorKind.CPP:
-        return detector.decision_g
-    cfg = GlrConfig(mu0=spec.mu0, sigma=spec.sigma, nu_min=params.nu_min)
-    return lambda: glr_decision(detector, cfg)
+    return GlrState(GlrConfig(spec.mu0, spec.sigma, params.nu_min))
 
 
 def _trial_streams(spec: ScenarioSpec, trial_index: int):
@@ -168,7 +159,6 @@ def _trial_alarm_times(spec, kind, params, thresholds, trial_index):
     data_rng, det_rng = _trial_streams(spec, trial_index)
     t0, xs = generate_trial_data(spec, data_rng)
     detector = make_detector(kind, spec, params, rng=det_rng)
-    decision = _decision_fn(kind, detector, spec, params)
     order = np.argsort(thresholds)
     sorted_h = np.asarray(thresholds, dtype=float)[order]
     t_a = [None] * len(thresholds)
@@ -176,7 +166,7 @@ def _trial_alarm_times(spec, kind, params, thresholds, trial_index):
     for k, x in enumerate(xs, start=1):
         try:
             detector.observe(x)
-            g = decision()
+            g = detector.decision_g()
         except Exception as exc:
             where = f"detector failed at step {k} of trial {trial_index} (t0={t0})"
             if isinstance(exc, ValueError):  # the detector rejected the trial's data

@@ -30,14 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cpdetect.gaussian_stats import DEFAULT_FLOOR_SCALE, LOG_2PI, EstimationMode
-from cpdetect.harness import (
-    DetectorKind,
-    DetectorParams,
-    ScenarioSpec,
-    TrialRecord,
-    _decision_fn,
-    generate_trial_data,
-)
+from cpdetect.harness import ScenarioSpec, TrialRecord, generate_trial_data
 from cpdetect.kernel import ProbabilityVector, SingleCpModel
 
 
@@ -413,16 +406,13 @@ def run_trial(
     detector,
     threshold_h: float,
     rng: np.random.Generator,
-    kind: DetectorKind = DetectorKind.CPP,
-    params: DetectorParams = DetectorParams(),
 ) -> TrialRecord:
     """Feed one trial's stream into a fresh detector until alarm or cutoff."""
     t0, xs = generate_trial_data(spec, rng)
-    decision = _decision_fn(kind, detector, spec, params)
     for k, x in enumerate(xs, start=1):
         try:
             detector.observe(x)
-            g = decision()
+            g = detector.decision_g()
         except Exception as exc:
             raise RuntimeError(f"detector failed at step {k} of trial (t0={t0})") from exc
         if g >= threshold_h:

@@ -147,10 +147,10 @@ def test_criterion_5_oracle_suites():
     for _ in range(3):
         xs = rng.standard_normal(40)
         xs[20:] += rng.uniform(-2, 2)
-        state = GlrState()
+        cfg = GlrConfig(mu0=0.0, sigma=1.0, nu_min=0.5)
+        state = GlrState(cfg)
         for x in xs:
             state.observe(float(x))
-        cfg = GlrConfig(mu0=0.0, sigma=1.0, nu_min=0.5)
         grid = np.linspace(-6, 6, 40001)
         grid = grid[np.abs(grid) >= cfg.nu_min]
         # the admissible region's boundary is where projected optima land
@@ -160,7 +160,7 @@ def test_criterion_5_oracle_suites():
             seg = xs[j:]
             s, m = seg.sum(), len(seg)
             best = max(best, float(((grid * s - 0.5 * m * grid**2)).max()))
-        assert math.isclose(glr_decision(state, cfg), max(0.0, best), abs_tol=1e-4)
+        assert math.isclose(glr_decision(state), max(0.0, best), abs_tol=1e-4)
 
     # exactly-one posterior vs exhaustive split enumeration (plug-in, exact)
     for _ in range(10):
@@ -202,12 +202,11 @@ def test_criterion_5_oracle_suites():
         resumed.observe(x)
     np.testing.assert_allclose(resumed.p_last, full.p_last, atol=1e-9)
 
-    g_inc = GlrState()
-    cfg = GlrConfig(mu0=0.0, sigma=1.0)
+    g_inc = GlrState(GlrConfig(mu0=0.0, sigma=1.0))
     for t, x in enumerate(xs, start=1):
         g_inc.observe(float(x))
     batch = GlrState.from_json(g_inc.to_json())
-    assert math.isclose(glr_decision(batch, cfg), glr_decision(g_inc, cfg), abs_tol=1e-9)
+    assert math.isclose(glr_decision(batch), glr_decision(g_inc), abs_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -194,16 +194,19 @@ class TestDetectCommand:
         state = CppState.from_json(snap.read_text())
         assert state.n == 10
 
-    def test_glr_snapshot_round_trips(self, tmp_path):
+    def test_glr_snapshot_round_trips(self, tmp_path, capsys):
         from cpdetect.glr import GlrState
 
         snap = tmp_path / "state.json"
         rc = main(["detect", "nile", "--detector", "glr", "--mu0", "900", "--sigma", "150",
-                   "--snapshot", str(snap)])
+                   "--snapshot", str(snap), "--format", "json"])
         assert rc == 0
+        report = json.loads(capsys.readouterr().out)
         state = GlrState.from_json(snap.read_text())
         assert state.series == nile().values.tolist()
         assert state.to_json() == snap.read_text()
+        assert state.config == GlrConfig(mu0=900.0, sigma=150.0)
+        assert state.decision_g() == report["g_final"]
 
     def test_byte_identical_under_fixed_seed(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -433,10 +436,15 @@ class TestBenchCommand:
             (["--mu1", "1e200", "--detector", "cpp"], "overflow"),
             (["--mu1", "1e200", "--detector", "glr"], "overflow"),
             (["--sigma", "1e-170", "--detector", "glr"], "sigma=1e-170 squares to 0.0"),
+            (["--sigma-sweep", "1", "--detector", "glr"], "takes neither --detector nor --h"),
+            (["--sigma-sweep", "1", "--detector", "cpp", "--h", "0.9"],
+             "takes neither --detector nor --h"),
+            (["--sigma-sweep", "1", "--h", "3"], "takes neither --detector nor --h"),
         ],
         ids=["rho", "sigma-sweep", "zero-trials", "h-without-detector", "mu1-inf",
              "sigma-nan", "zero-jobs", "cpp-rejects-trial-data", "glr-rejects-trial-data",
-             "glr-sigma-square-underflows"],
+             "glr-sigma-square-underflows", "sigma-sweep-with-detector",
+             "sigma-sweep-with-detector-and-h", "sigma-sweep-with-h"],
     )
     def test_bad_bench_input_is_usage_error(self, tmp_path, capsys, flags, message):
         prefix = tmp_path / "bad"

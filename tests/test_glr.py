@@ -27,8 +27,12 @@ def brute_force_glr(xs, mu0, sigma, nu_min):
     return best
 
 
-def feed(xs):
-    state = GlrState()
+#: A valid snapshot config, for documents that break one other field
+CONFIG = '"config": {"mu0": 0.0, "sigma": 1.0, "nu_min": 0.5}'
+
+
+def feed(xs, config=GlrConfig()):
+    state = GlrState(config)
     for x in xs:
         state.observe(float(x))
     return state
@@ -36,13 +40,13 @@ def feed(xs):
 
 class TestGlrDecision:
     def test_data_at_mu0_gives_zero(self):
-        state = feed(np.full(20, 3.0))
-        assert glr_decision(state, GlrConfig(mu0=3.0, sigma=1.0, nu_min=0.0)) == 0.0
+        state = feed(np.full(20, 3.0), GlrConfig(mu0=3.0, sigma=1.0, nu_min=0.0))
+        assert state.decision_g() == 0.0
 
     @given(d=st.floats(-8, 8, allow_nan=False))
     def test_single_point_closed_form(self, d):
-        state = feed([d])
-        got = glr_decision(state, GlrConfig(mu0=0.0, sigma=1.0, nu_min=0.0))
+        state = feed([d], GlrConfig(mu0=0.0, sigma=1.0, nu_min=0.0))
+        got = state.decision_g()
         assert got == pytest.approx(max(0.0, d * d / 2), abs=1e-9)
 
     def test_matches_grid_search_oracle(self):
@@ -51,32 +55,31 @@ class TestGlrDecision:
             xs = rng.standard_normal(50)
             if trial % 2:
                 xs[25:] += 1.0
-            state = feed(xs)
             for nu_min in (0.0, 0.5):
-                cfg = GlrConfig(mu0=0.0, sigma=1.0, nu_min=nu_min)
+                state = feed(xs, GlrConfig(mu0=0.0, sigma=1.0, nu_min=nu_min))
                 oracle = brute_force_glr(xs, 0.0, 1.0, nu_min)
-                assert glr_decision(state, cfg) == pytest.approx(oracle, abs=1e-4)
+                assert state.decision_g() == pytest.approx(oracle, abs=1e-4)
 
     def test_nu_min_zero_closed_form(self):
         # With no minimum shift the maximum over nu is (S_j)^2 / (2 sigma^2 m).
         rng = np.random.default_rng(23)
         xs = rng.standard_normal(40) + 0.3
-        state = feed(xs)
         sigma = 1.3
+        state = feed(xs, GlrConfig(mu0=0.0, sigma=sigma, nu_min=0.0))
         best = 0.0
         for j in range(40):
             seg = xs[j:]
             s, m = seg.sum(), len(seg)
             best = max(best, s * s / (2 * sigma * sigma * m))
-        got = glr_decision(state, GlrConfig(mu0=0.0, sigma=sigma, nu_min=0.0))
+        got = state.decision_g()
         assert got == pytest.approx(best, rel=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), shift=st.floats(-50, 50))
     def test_translation_invariance(self, seed, shift):
         xs = np.random.default_rng(seed).standard_normal(30)
-        base = glr_decision(feed(xs), GlrConfig(mu0=0.0, sigma=1.0))
-        moved = glr_decision(feed(xs + shift), GlrConfig(mu0=shift, sigma=1.0))
+        base = feed(xs, GlrConfig(mu0=0.0, sigma=1.0)).decision_g()
+        moved = feed(xs + shift, GlrConfig(mu0=shift, sigma=1.0)).decision_g()
         assert moved == pytest.approx(base, abs=1e-7)
 
     def test_two_sided_detection(self):
@@ -84,8 +87,8 @@ class TestGlrDecision:
         up = rng.standard_normal(30)
         up[15:] += 3.0
         cfg = GlrConfig(mu0=0.0, sigma=1.0)
-        g_up = glr_decision(feed(up), cfg)
-        g_down = glr_decision(feed(-up), cfg)
+        g_up = feed(up, cfg).decision_g()
+        g_down = feed(-up, cfg).decision_g()
         assert g_up == pytest.approx(g_down, abs=1e-9)
         assert g_up > 5.0
 
@@ -93,18 +96,63 @@ class TestGlrDecision:
         rng = np.random.default_rng(31)
         for seed in range(100):
             xs = np.random.default_rng(seed).standard_normal(rng.integers(1, 40))
-            incremental = GlrState()
             cfg = GlrConfig(mu0=0.0, sigma=1.0)
+            incremental = GlrState(cfg)
             for t in range(len(xs)):
                 incremental.observe(float(xs[t]))
-                batch = feed(xs[: t + 1])
-                assert glr_decision(incremental, cfg) == pytest.approx(
-                    glr_decision(batch, cfg), abs=1e-9
+                batch = feed(xs[: t + 1], cfg)
+                assert glr_decision(incremental) == pytest.approx(
+                    glr_decision(batch), abs=1e-9
                 )
 
     def test_empty_state_raises(self):
         with pytest.raises(ValueError):
-            glr_decision(GlrState(), GlrConfig())
+            glr_decision(GlrState(GlrConfig()))
+
+
+def g_trace(xs, config):
+    state = GlrState(config)
+    trace = []
+    for x in xs:
+        state.observe(x)
+        trace.append(state.decision_g())
+    return np.array(trace)
+
+
+def shift_stream(seed):
+    xs = np.random.default_rng(seed).standard_normal(40)
+    xs[20:] += 1.5
+    return xs
+
+
+class TestShiftAndScale:
+    """The prefix sums are taken about mu0, so g depends on the data only
+    through their deviations from it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), offset=st.floats(100.0, 1e12),
+           sign=st.sampled_from([1.0, -1.0]), mu0=st.sampled_from([0.0, 0.75, -2.5]),
+           nu_min=st.sampled_from([0.0, 0.5]))
+    def test_location_shift_is_bit_identical(self, seed, offset, sign, mu0, nu_min):
+        c = sign * offset
+        shifted = shift_stream(seed) + c
+        # |x| << |c|, so these differences are exact (Sterbenz)
+        back = shifted - c
+        shifted_mu0 = mu0 + c
+        back_mu0 = shifted_mu0 - c
+        a = g_trace(shifted, GlrConfig(mu0=shifted_mu0, sigma=1.0, nu_min=nu_min))
+        b = g_trace(back, GlrConfig(mu0=back_mu0, sigma=1.0, nu_min=nu_min))
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), power=st.integers(-300, 300),
+           mu0=st.sampled_from([0.0, 0.75, -2.5]), nu_min=st.sampled_from([0.0, 0.5]))
+    def test_scale_change_moves_g_by_rounding(self, seed, power, mu0, nu_min):
+        k = 2.0**power
+        xs = shift_stream(seed)
+        a = g_trace(xs * k, GlrConfig(mu0=mu0 * k, sigma=1.3 * k, nu_min=nu_min * k))
+        b = g_trace(xs, GlrConfig(mu0=mu0, sigma=1.3, nu_min=nu_min))
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
 
 class TestGlrState:
@@ -114,35 +162,47 @@ class TestGlrState:
 
     def test_serialization_round_trip(self):
         xs = np.random.default_rng(2).standard_normal(15)
-        state = feed(xs)
+        state = feed(xs, GlrConfig(mu0=0.0, sigma=1.0))
         clone = GlrState.from_json(state.to_json())
-        cfg = GlrConfig(mu0=0.0, sigma=1.0)
         assert clone.k == state.k
-        assert glr_decision(clone, cfg) == pytest.approx(glr_decision(state, cfg), abs=1e-12)
+        assert clone.config == state.config
+        assert clone.decision_g() == pytest.approx(state.decision_g(), abs=1e-12)
 
     def test_round_trip_is_lossless_at_large_offset(self):
         xs = 1e8 + np.random.default_rng(5).standard_normal(200)
         xs[120:] += 0.7
-        state = feed(xs)
+        state = feed(xs, GlrConfig(mu0=1e8, sigma=1.0))
         clone = GlrState.from_json(state.to_json())
         assert clone.series == xs.tolist()
-        cfg = GlrConfig(mu0=1e8, sigma=1.0)
-        assert glr_decision(clone, cfg) == glr_decision(state, cfg)
+        assert clone.decision_g() == state.decision_g()
 
     @pytest.mark.parametrize(
-        "text", ["[]", "{}", '{"series": 3}', '{"series": [1.0, null]}'],
-        ids=["list", "no-series", "series-not-list", "series-holds-null"],
+        "text, match",
+        [("[]", "GLR snapshot"), ("{%s}" % CONFIG, "GLR snapshot"),
+         ('{%s, "series": 3}' % CONFIG, "GLR snapshot"),
+         ('{%s, "series": [1.0, null]}' % CONFIG, "GLR snapshot"),
+         ('{"series": [1.0]}', "GLR snapshot"),
+         ('{"config": [0.0, 1.0, 0.5], "series": [1.0]}', "GLR snapshot"),
+         ('{"config": {"mu0": 0.0, "sigma": 1.0}, "series": [1.0]}', "GLR snapshot"),
+         ('{"config": {"mu0": 0.0, "sigma": 1.0, "nu_min": 0.5, "h": 3}, "series": [1.0]}',
+          "GLR snapshot"),
+         ('{"config": {"mu0": 0.0, "sigma": 0, "nu_min": 0.5}, "series": [1.0]}', "sigma"),
+         ('{"config": {"mu0": "1", "sigma": 1.0, "nu_min": 0.5}, "series": [1.0]}',
+          "mu0 must be a real number")],
+        ids=["list", "no-series", "series-not-list", "series-holds-null", "no-config",
+             "config-not-object", "config-key-missing", "config-key-unknown", "sigma-zero",
+             "mu0-string"],
     )
-    def test_from_json_rejects_a_document_that_is_not_a_snapshot(self, text):
-        with pytest.raises(ValueError, match="GLR snapshot"):
+    def test_from_json_rejects_a_document_that_is_not_a_snapshot(self, text, match):
+        with pytest.raises(ValueError, match=match):
             GlrState.from_json(text)
 
     def test_from_json_rejects_an_integer_that_overflows_a_float(self):
         with pytest.raises(ValueError, match="series"):
-            GlrState.from_json('{"series": [1.0, 1' + "0" * 400 + "]}")
+            GlrState.from_json('{%s, "series": [1.0, 1%s]}' % (CONFIG, "0" * 400))
 
     def test_rejects_non_finite(self):
-        state = GlrState()
+        state = GlrState(GlrConfig())
         with pytest.raises(ValueError):
             state.observe(float("inf"))
 
@@ -154,14 +214,14 @@ class TestGlrState:
             xs *= 1e160
         else:
             xs = np.full(600, 1e152)
-        state = GlrState()
+        state = GlrState(GlrConfig())
         with pytest.raises(ValueError, match="overflow"):
             for x in xs:
                 k = state.k
                 state.observe(x)
         assert state.k == k == len(state.series)  # state unchanged
         if k:
-            assert np.isfinite(glr_decision(state, GlrConfig()))
+            assert np.isfinite(state.decision_g())
 
 
 class TestGlrConfig:

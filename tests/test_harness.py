@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cpdetect import harness
+from cpdetect import glr, harness
 from cpdetect.harness import (
     DetectorKind,
     DetectorParams,
@@ -84,22 +84,19 @@ class TestGenerateTrialData:
 class TestRunTrial:
     def test_threshold_zero_alarms_immediately(self):
         detector = make_detector(DetectorKind.GLR, FAST_SPEC)
-        rec = run_trial(FAST_SPEC, detector, 0.0, np.random.default_rng(2),
-                        kind=DetectorKind.GLR)
+        rec = run_trial(FAST_SPEC, detector, 0.0, np.random.default_rng(2))
         assert rec.t_a == 1
         assert rec.false_alarm == (rec.t0 >= 1)
 
     def test_huge_threshold_goes_out_of_bounds(self):
         detector = make_detector(DetectorKind.GLR, FAST_SPEC)
-        rec = run_trial(FAST_SPEC, detector, 1e12, np.random.default_rng(2),
-                        kind=DetectorKind.GLR)
+        rec = run_trial(FAST_SPEC, detector, 1e12, np.random.default_rng(2))
         assert rec.out_of_bounds
         assert rec.delay == math.inf
 
     def test_cpp_trial_detects_unit_shift(self):
         detector = make_detector(DetectorKind.CPP, FAST_SPEC, rng=0)
-        rec = run_trial(FAST_SPEC, detector, 0.95, np.random.default_rng(4),
-                        kind=DetectorKind.CPP)
+        rec = run_trial(FAST_SPEC, detector, 0.95, np.random.default_rng(4))
         assert not rec.out_of_bounds
         if not rec.false_alarm:
             assert 2 <= rec.delay <= 101
@@ -173,9 +170,7 @@ class TestThresholdSweep:
             for trial in range(30):
                 data_rng, det_rng = _trial_streams(FAST_SPEC, trial)
                 detector = make_detector(DetectorKind.GLR, FAST_SPEC, rng=det_rng)
-                records.append(
-                    run_trial(FAST_SPEC, detector, h, data_rng, kind=DetectorKind.GLR)
-                )
+                records.append(run_trial(FAST_SPEC, detector, h, data_rng))
             alpha = sum(r.false_alarm for r in records) / 30
             assert sweep.rows[hi].alpha == pytest.approx(alpha)
 
@@ -207,13 +202,13 @@ class TestThresholdSweep:
     def test_detector_failure_names_its_step_and_trial(self, monkeypatch):
         steps = []
 
-        def failing_decision(detector, cfg):
+        def failing_decision(detector):
             steps.append(len(steps) + 1)
             if len(steps) == 3:
                 raise ZeroDivisionError("boom")
             return 0.0
 
-        monkeypatch.setattr(harness, "glr_decision", failing_decision)
+        monkeypatch.setattr(glr, "glr_decision", failing_decision)
         t0, _ = generate_trial_data(FAST_SPEC, _trial_streams(FAST_SPEC, 0)[0])
         with pytest.raises(RuntimeError) as exc:
             threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[1e12], n_trials=2)
