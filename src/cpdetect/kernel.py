@@ -72,6 +72,10 @@ Up to B points, each is one product over the whole operand.
 
 The state stores p_second and the history of every P_k; p_last is the
 newest history row and p_hzero is 1 - sum(p_second), clamped to [0, 1].
+:class:`CppState`'s constructor alone puts a state together, from its
+config, rng, series, history and p_second, so a restore is one constructor
+call.  The variance floor of an estimated sigma is no part of the state:
+:func:`build_conditional_tables` derives it from the prefix sums it reads.
 The history and the column cache are triangles in capacity-doubled square
 buffers, mapped in base pages, not huge pages, so that only the pages that
 hold part of a triangle become resident.
@@ -221,14 +225,8 @@ class ConditionalTables:
     exact_rows: np.ndarray
 
     def last_from_second(self, p_second: np.ndarray) -> np.ndarray:
-        """sum_j p_second[j] * (row j of the table), by row blocks above B points."""
-        v = p_second * self.row_scale
-        if self.n <= _PRODUCT_BLOCK_ROWS:
-            out = v @ self.weights
-        else:
-            out = np.zeros(self.n + 1)
-            for r0, r1 in _row_blocks(0, self.n):
-                out[r0 + 1 :] += v[r0:r1] @ self.weights[r0:r1, r0 + 1 :]
+        """sum_j p_second[j] * (row j of the table)."""
+        out = _by_triangle(p_second * self.row_scale, self.weights, upper=True)
         out *= self.post
         if self.exact.size:
             out += p_second[self.exact] @ self.exact_rows
@@ -239,10 +237,24 @@ class ConditionalTables:
 _PRODUCT_BLOCK_ROWS = 160
 
 
-def _row_blocks(start: int, stop: int):
-    """(r0, r1) for each block of ``_PRODUCT_BLOCK_ROWS`` rows in start..stop-1."""
-    rows = _PRODUCT_BLOCK_ROWS
+def _row_blocks(start: int, stop: int, rows: int = _PRODUCT_BLOCK_ROWS):
+    """(r0, r1) for each block of ``rows`` rows in start..stop-1."""
     return [(r0, min(r0 + rows, stop)) for r0 in range(start, stop, rows)]
+
+
+def _by_triangle(v: np.ndarray, tri: np.ndarray, upper: bool) -> np.ndarray:
+    """v @ tri, where ``tri`` is strictly upper triangular, so its last row is
+    empty, if ``upper``, else lower triangular with its diagonal.  Up to B
+    filled rows this is one product; above, it reads only the filled triangle,
+    by blocks of B rows over the columns those rows can hold."""
+    rows = len(v) - 1 if upper else len(v)
+    if rows <= _PRODUCT_BLOCK_ROWS:
+        return v @ tri
+    out = np.zeros(tri.shape[1])
+    for r0, r1 in _row_blocks(0, rows):
+        cols = slice(r0 + 1, None) if upper else slice(r1)
+        out[cols] += v[r0:r1] @ tri[r0:r1, cols]
+    return out
 
 
 #: The ``exact`` of a table with no rows stored whole.
@@ -373,11 +385,17 @@ def _gauss_loglik(m, log_s2, s2, quad):
     return -0.5 * m * (LOG_2PI + log_s2) - quad / (2.0 * s2)
 
 
+def _series_floor(S: np.ndarray, Q: np.ndarray) -> float:
+    """The variance floor of the series whose prefix sums are ``S`` and ``Q``,
+    from its sample variance."""
+    n = len(S) - 1
+    return variance_floor(_css(S[n], Q[n], n) / (n - 1) if n >= 2 else None)
+
+
 def build_conditional_tables(
     prefix: PrefixStats,
     config: CppConfig,
     rng: np.random.Generator,
-    floor: float | None,
     cache: CssCache | None = None,
     memo: np.ndarray | None = None,
 ) -> ConditionalTables:
@@ -386,14 +404,16 @@ def build_conditional_tables(
     ``prefix`` holds the series' sums about its reference point, which must be
     the known mu0 when the config has one, as ``PrefixStats(ref=mu0)`` takes
     them; with an unknown mean any point serves, and :class:`CppState` takes
-    the first observation.  ``floor`` is the variance floor, which a
-    known-sigma config never reads.  ``cache``, the config's column cache (a
-    fresh one if None), is extended to the prefix.  ``memo`` is the history of
-    p_last rows from steps 1..n-1 (empty if None).  Every table covers the
-    whole series, and the rows stored whole are computed here for every path.
+    the first observation.  With sigma estimated, the variance floor comes
+    from the whole series' sums, :func:`_series_floor`.  ``cache``, the
+    config's column cache (a fresh one if None), is extended to the prefix.
+    ``memo`` is the history of p_last rows from steps 1..n-1 (empty if None).
+    Every table covers the whole series, and the rows stored whole are
+    computed here for every path.
     """
     n = len(prefix)
     S, Q = prefix.arrays()
+    floor = _series_floor(S, Q) if config.model.sigma is None else None
     path = _table_path(config)
     cache = _new_cache(config) if cache is None else cache
     cached = cache.extend(S, Q)
@@ -486,8 +506,7 @@ def _fused_rows(n, css_pre, css_post, floor):
     flat = np.empty(rows * max(n - 2, 0))
     m_all = (n - pos).astype(float)
     dof_all = np.maximum(m_all - 2.0, 1.0)
-    for r0 in range(1, n - 2, rows):
-        r1 = min(r0 + rows, n - 2)
+    for r0, r1 in _row_blocks(1, n - 2, rows):
         m, dof = m_all[r0:r1], dof_all[r0:r1]
         w = flat[: (r1 - r0) * (n - r0 - 1)].reshape(r1 - r0, n - r0 - 1)
         square, mask = w[:, : r1 - r0], below[: r1 - r0, : r1 - r0]
@@ -632,11 +651,7 @@ def jacobi_step(
     new_last += tables.last_given_hzero * p_hzero
     memo, k = tables.memo, tables.memo.shape[0]  # memo row k holds P_k(i) for i <= k
     new_second = np.zeros(tables.n + 1)
-    if k > _PRODUCT_BLOCK_ROWS:
-        for r0, r1 in _row_blocks(0, k):
-            new_second[:r1] += p_last[r0:r1] @ memo[r0:r1, :r1]
-    elif k > 0:
-        new_second[: memo.shape[1]] = memo.T @ p_last[:k]
+    new_second[: memo.shape[1]] = _by_triangle(p_last[:k], memo, upper=False)
     _clamp_unit(new_last)
     _clamp_unit(new_second)
     return new_last, new_second, _unit(1.0 - float(new_second.sum()))
@@ -733,19 +748,30 @@ def _probabilities(name: str, values):
 
 class CppState:
     """Full incremental detector state; feed points with :meth:`observe`.
-    ``rng`` is anything :func:`numpy.random.default_rng` takes that draws
-    from PCG64, the one bit generator a snapshot restores."""
 
-    def __init__(self, config: CppConfig | None = None, rng=None):
+    ``rng`` is anything :func:`numpy.random.default_rng` takes that draws
+    from PCG64, the one bit generator a snapshot restores.  A state that has
+    read ``series`` is built whole from it, the :class:`PosteriorMatrix` of
+    its n p_last rows, which it takes without a copy, and ``p_second``, n + 1
+    values with index 0 unused; by default it has read nothing.
+    """
+
+    def __init__(self, config: CppConfig | None = None, rng=None, series=(),
+                 history: PosteriorMatrix | None = None, p_second=None):
         self.config = config if config is not None else CppConfig()
         self.rng = np.random.default_rng(rng)
         if not isinstance(self.rng.bit_generator, np.random.PCG64):
             raise ValueError(f"rng draws from {type(self.rng.bit_generator).__name__}, but a "
                              f"snapshot can restore only PCG64")
-        self.series: list[float] = []
-        self.prefix = PrefixStats(ref=self.config.model.mu0)
-        self.history = PosteriorMatrix()
-        self.p_second = np.zeros(1)
+        self.prefix = PrefixStats(series, ref=self.config.model.mu0)
+        self.series: list[float] = np.asarray(series, dtype=float).tolist()
+        self.history = PosteriorMatrix() if history is None else history
+        self.p_second = np.zeros(1) if p_second is None else np.asarray(p_second, dtype=float)
+        n = self.n
+        if len(self.history) != n:
+            raise ValueError(f"history has {len(self.history)} rows, not one per point: {n}")
+        if len(self.p_second) != n + 1:
+            raise ValueError(f"p_second has {len(self.p_second)} entries, not n + 1 = {n + 1}")
         # not serialized: a function of the series, which the first observe
         # after a restore refills
         self._cache = _new_cache(self.config)
@@ -767,11 +793,6 @@ class CppState:
         """The probability that fewer than two changepoints occurred."""
         return _unit(1.0 - float(self.p_second.sum()))
 
-    def _floor(self) -> float:
-        """The variance floor for the sample variance of the series."""
-        n, (S, Q) = self.n, self.prefix.arrays()
-        return variance_floor(_css(S[n], Q[n], n) / (n - 1) if n >= 2 else None)
-
     def observe(self, x: float) -> None:
         """Advance the detector by one observation."""
         x = float(x)
@@ -783,10 +804,8 @@ class CppState:
             self.history.append(np.zeros(2))
             return
 
-        # only an estimated sigma reads the variance floor
-        floor = self._floor() if self.config.model.sigma is None else None
         tables = build_conditional_tables(
-            self.prefix, self.config, self.rng, floor, cache=self._cache,
+            self.prefix, self.config, self.rng, cache=self._cache,
             memo=self.history.matrix(n - 1),
         )
 
@@ -847,10 +866,11 @@ class CppState:
 
     @classmethod
     def from_json(cls, text: str) -> "CppState":
-        """Restore a :meth:`to_json` snapshot.  Raises ValueError on a document
-        that is not one: another snapshot format, a missing field or one of
-        the wrong type, vectors whose lengths do not match the series, a
-        non-finite value or a probability outside [0, 1]."""
+        """Restore a :meth:`to_json` snapshot, with one constructor call.
+        Raises ValueError on a document that is not one: another snapshot
+        format, a missing field or one of the wrong type, vectors whose
+        lengths do not match the series, a non-finite value or a probability
+        outside [0, 1]."""
         doc = json.loads(text)
         if type(doc) is not dict:
             raise ValueError(f"snapshot is a JSON {type(doc).__name__}, not an object")
@@ -871,17 +891,14 @@ class CppState:
             estimation_mode=EstimationMode(_field(c, "estimation_mode", str)),
             variance_change=_field(c, "variance_change", bool),
         )
-        state = cls(config=config)
         rng_state = _field(doc, "rng_state", dict)
+        rng = np.random.Generator(np.random.PCG64())
         try:
-            state.rng.bit_generator.state = rng_state
+            rng.bit_generator.state = rng_state
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"snapshot 'rng_state' is not a PCG64 state: {exc}") from None
-        state.series = _unpack(doc, "series").tolist()
-        n = state.n
-        state.prefix = PrefixStats(state.series, ref=config.model.mu0)
-        rows = _unpack(doc, "posterior_rows", n * (n + 1) // 2)
-        state.history = PosteriorMatrix(_probabilities("posterior_rows", rows), n)
-        p_second = _probabilities("p_second", _unpack(doc, "p_second", n))
-        state.p_second = np.concatenate([[0.0], p_second])
-        return state
+        series = _unpack(doc, "series")
+        n = len(series)
+        rows = _probabilities("posterior_rows", _unpack(doc, "posterior_rows", n * (n + 1) // 2))
+        p_second = _probabilities("p_second", _unpack(doc, "p_second"))
+        return cls(config, rng, series, PosteriorMatrix(rows, n), np.concatenate([[0.0], p_second]))

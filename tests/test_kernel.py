@@ -166,7 +166,7 @@ class TestJacobiStep:
         xs = np.random.default_rng(1).standard_normal(12)
         prefix = PrefixStats(xs)
         config = CppConfig(model=KNOWN)
-        tables = build_conditional_tables(prefix, config, np.random.default_rng(0), 1e-8)
+        tables = build_conditional_tables(prefix, config, np.random.default_rng(0))
         p_last = np.zeros(13)
         p_second = np.zeros(13)
         new_last, new_second, _ = jacobi_step(p_last, p_second, tables)
@@ -209,8 +209,7 @@ class TestJacobiStep:
             state.prefix.append(float(xs[-1]))
             state.series.append(float(xs[-1]))
             tables = build_conditional_tables(
-                state.prefix, state.config, state.rng, state._floor(),
-                memo=state.history.matrix(len(xs) - 1),
+                state.prefix, state.config, state.rng, memo=state.history.matrix(len(xs) - 1),
             )
             pl = np.append(state.p_last, 0.0)
             ps = np.append(state.p_second, 0.0)
@@ -251,7 +250,7 @@ class TestConditionalTablesAgainstScalarReference:
         # the tables read sums about mu0 when it is known
         prefix = PrefixStats(xs if model.mu0 is None else xs - model.mu0)
         config = CppConfig(model=model)
-        tables = build_conditional_tables(prefix, config, np.random.default_rng(0), 1e-8)
+        tables = build_conditional_tables(prefix, config, np.random.default_rng(0))
         # rows of the conditional table are exactly-one posteriors on suffixes
         dense = dense_table(tables)
         for j in range(1, n - 1):
@@ -751,9 +750,7 @@ class TestFactoredTables:
         dense = run_dense(xs, monkeypatch, model=model)
         assert_states_close(factored, dense, atol=1e-9)
         if case != "step-50-sigma":
-            tables = build_conditional_tables(
-                factored.prefix, factored.config, factored.rng, factored._floor()
-            )
+            tables = build_conditional_tables(factored.prefix, factored.config, factored.rng)
             assert tables.exact.size > 0  # the log-space rows were exercised
 
     def test_long_series_rows_and_update_match_reference(self):
@@ -762,7 +759,7 @@ class TestFactoredTables:
         n = 2500
         xs = np.random.default_rng(12).standard_normal(n)
         tables = build_conditional_tables(
-            PrefixStats(xs), CppConfig(model=KNOWN), np.random.default_rng(0), 1e-8
+            PrefixStats(xs), CppConfig(model=KNOWN), np.random.default_rng(0)
         )
         assert 0.3 * n < tables.exact.size < 0.7 * n
         p_second = np.random.default_rng(13).dirichlet(np.ones(n + 1)) * 0.5
@@ -846,7 +843,7 @@ class TestFusedTables:
         fused = run_series(xs, model=ESTIMATED)
         dense = run_dense(xs, monkeypatch, model=ESTIMATED)
         assert_states_close(fused, dense, atol=1e-9)
-        assert len(floored_rows(xs, fused._floor())) >= 10
+        assert len(floored_rows(xs, kernel._series_floor(*fused.prefix.arrays()))) >= 10
 
     def test_matches_dense_on_shifted_and_scaled_data(self, monkeypatch):
         rng = np.random.default_rng(17)
@@ -869,7 +866,7 @@ class TestFusedTables:
     def test_tables_before_the_first_row(self, n):
         # rows j in [1, n-2] are empty, so the fused pass has no block
         prefix = PrefixStats(np.random.default_rng(19).standard_normal(n))
-        tables = build_conditional_tables(prefix, CppConfig(model=ESTIMATED), None, 1e-6)
+        tables = build_conditional_tables(prefix, CppConfig(model=ESTIMATED), None)
         assert tables.n == n and tables.exact.size == 0
         assert not tables.weights.any() and not tables.row_scale.any()
 
@@ -913,7 +910,7 @@ class TestFusedBlockHeight:
             for rows in heights:
                 monkeypatch.setattr(kernel, "_FUSED_BLOCK_ROWS", rows)
                 tables[rows] = build_conditional_tables(
-                    state.prefix, state.config, state.rng, state._floor(), cache=caches[rows]
+                    state.prefix, state.config, state.rng, cache=caches[rows]
                 )
             ref = tables[1]
             for rows in heights[1:]:
@@ -945,11 +942,11 @@ class TestTableViews:
             cfg = dict(model=SingleCpModel(), variance_change=True)
         state = run_series(xs, seed=5, **cfg)
         n = len(xs)
-        tables = build_conditional_tables(state.prefix, state.config, state.rng, state._floor())
+        tables = build_conditional_tables(state.prefix, state.config, state.rng)
         if case == "factored-exact-rows":
             assert tables.exact.size > 0
         elif case == "fused-floored-rows":
-            assert floored_rows(xs, state._floor())
+            assert floored_rows(xs, kernel._series_floor(*state.prefix.arrays()))
         else:
             assert kernel._table_path(state.config) == "dense"
         dense = dense_table(tables)
@@ -973,8 +970,8 @@ class TestWholeRows:
         else:
             xs, config = floor_binding_series(), CppConfig(model=ESTIMATED)
         state = run_series(xs, model=config.model)
-        n, floor = state.n, state._floor()
-        tables = build_conditional_tables(state.prefix, config, state.rng, floor)
+        n, floor = state.n, kernel._series_floor(*state.prefix.arrays())
+        tables = build_conditional_tables(state.prefix, config, state.rng)
         exact = tables.exact
         assert exact.size > 0
         assert (tables.row_scale[exact] == 0.0).all()
@@ -991,7 +988,7 @@ class TestWholeRows:
             # row n-2 has one split, of weight 1 whatever the floor
             np.testing.assert_array_equal(exact, np.setdiff1d(floored_rows(xs, floor), [n - 2]))
             monkeypatch.setattr(kernel, "_table_path", lambda config: "dense")
-            dense = build_conditional_tables(state.prefix, config, state.rng, floor)
+            dense = build_conditional_tables(state.prefix, config, state.rng)
             np.testing.assert_allclose(tables.exact_rows, dense.weights[exact], rtol=1e-13,
                                        atol=0)
 
@@ -1051,8 +1048,7 @@ class TestPerStepVectorsComputedOnce:
             if n == 1:
                 continue
             if case == "second-build":
-                floor = state._floor() if model.sigma is None else None
-                build(state.prefix, config, state.rng, floor, cache=state._cache,
+                build(state.prefix, config, state.rng, cache=state._cache,
                       memo=state.history.matrix(n - 1))
             S, Q = state.prefix.arrays()
             expected = css_post_formula(S, Q, n)
@@ -1097,7 +1093,6 @@ class TestProductBlockHeight:
         state = run_series(xs, model=config.model, mode=config.estimation_mode, seed=5,
                            variance_change=config.variance_change)
         n = state.n
-        floor = state._floor() if config.model.sigma is None else None
         memo = state.history.matrix(n - 1)
         vectors = np.random.default_rng(42).dirichlet(np.ones(n + 1), size=2)
         p_last, p_second = vectors[0], 0.5 * vectors[1]
@@ -1105,7 +1100,7 @@ class TestProductBlockHeight:
         for height in (1, 7, 160, n + 1):
             monkeypatch.setattr(kernel, "_PRODUCT_BLOCK_ROWS", height)
             tables = build_conditional_tables(
-                state.prefix, config, np.random.default_rng(6), floor, memo=memo
+                state.prefix, config, np.random.default_rng(6), memo=memo
             )
             if case == "factored-whole-rows":
                 assert tables.exact.size > 0
@@ -1226,3 +1221,61 @@ class TestRestoredCapacity:
             assert restored.history._buf.shape == streamed.history._buf.shape
             assert restored._cache._buf.shape == streamed._cache._buf.shape
             assert_same_state(restored, streamed)
+
+
+class TestBuiltWhole:
+    """A state is put together by its constructor alone, a restore included."""
+
+    @staticmethod
+    def copy_of(state):
+        """The constructor's arguments for a state equal to ``state``, sharing nothing."""
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = state.rng.bit_generator.state
+        return (state.config, rng, np.array(state.series),
+                PosteriorMatrix(state.history.packed(), state.n), state.p_second.copy())
+
+    @pytest.mark.parametrize("mode", [EstimationMode.PLUG_IN, EstimationMode.POSTERIOR_SAMPLE])
+    @pytest.mark.parametrize("model", [KNOWN, ESTIMATED], ids=["known", "estimated"])
+    def test_state_built_from_a_streamed_one_equals_it(self, model, mode):
+        xs = two_shift_stream(60, 9)
+        streamed = run_series(xs[:40], model=model, mode=mode, seed=4)
+        built = CppState(*self.copy_of(streamed))
+        assert all(type(x) is float for x in built.series)
+        assert_same_state(built, streamed)
+        assert built.to_json() == streamed.to_json()
+        for x in xs[40:]:
+            streamed.observe(x)
+            built.observe(x)
+            assert_same_state(built, streamed)
+
+    @pytest.mark.parametrize("field", ["history", "p_second"])
+    @pytest.mark.parametrize("by", [-1, 1])
+    def test_parts_that_do_not_fit_the_series_are_named(self, field, by):
+        state = run_series(two_shift_stream(20, 9))
+        config, rng, series, history, p_second = self.copy_of(state)
+        if field == "history":
+            n = state.n + by
+            history = PosteriorMatrix(np.zeros(n * (n + 1) // 2), n)
+        else:
+            p_second = np.zeros(state.n + 1 + by)
+        with pytest.raises(ValueError, match=field):
+            CppState(config, rng, series, history, p_second)
+
+    def test_series_without_history_is_rejected(self):
+        with pytest.raises(ValueError, match="history"):
+            CppState(CppConfig(model=KNOWN), rng=0, series=[0.5, 1.0])
+
+    def test_from_json_assigns_nothing_after_construction(self):
+        class Sealed(CppState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                object.__setattr__(self, "_sealed", True)
+
+            def __setattr__(self, name, value):
+                assert not getattr(self, "_sealed", False), f"{name} assigned after __init__"
+                super().__setattr__(name, value)
+
+        state = run_series(two_shift_stream(30, 9), model=ESTIMATED)
+        restored = Sealed.from_json(state.to_json())
+        assert type(restored) is Sealed
+        assert_same_state(restored, state)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpdetect.gaussian_stats import EstimationMode, PrefixStats
+from cpdetect import kernel
 from cpdetect.kernel import CppConfig, CppState, SingleCpModel, build_conditional_tables
 from oracles import (
     InsufficientDataError,
@@ -141,8 +142,9 @@ class TestKernelWithVarianceChange:
             rng = np.random.default_rng(seed)
             xs = np.concatenate([rng.standard_normal(20), rng.standard_normal(20) * 2.5])
             n = len(xs)
-            floor = 1e-8 * xs.var(ddof=1)
-            tables = build_conditional_tables(PrefixStats(xs), config, rng, floor)
+            prefix = PrefixStats(xs)
+            floor = kernel._series_floor(*prefix.arrays())
+            tables = build_conditional_tables(prefix, config, rng)
             dense = dense_table(tables)
             for j in range(1, n - 3):
                 ref = posterior_exactly_one_var(xs[j:], floor=floor, start=j + 1)
