@@ -43,10 +43,13 @@ def _resolve_seed(value):
     return int(env) if env else 0
 
 
-#: Per detector, the options only it reads and their defaults, which a run of the other must keep
+#: Per detector, the options only it reads and their defaults, the configs' own,
+#: which a run of the other must keep
 _DETECTOR_OPTIONS = {
-    "cpp": dict(mode=EstimationMode.PLUG_IN, f=0.005, variance_change=False, jacobi_iterations=1),
-    "glr": dict(nu_min=0.5),
+    "cpp": dict(mode=CppConfig.estimation_mode, f=SingleCpModel.change_prior_f,
+                variance_change=CppConfig.variance_change,
+                jacobi_iterations=CppConfig.jacobi_iterations),
+    "glr": dict(nu_min=GlrConfig.nu_min),
 }
 
 
@@ -283,10 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="delay vs false-alarm benchmark sweeps")
     p.add_argument("--detector", choices=["cpp", "glr"], default=None,
                    help="default: both, plus a comparison file")
-    p.add_argument("--mu0", type=float, default=0.0)
-    p.add_argument("--mu1", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=0.02)
+    for name in ("mu0", "mu1", "sigma", "rho"):
+        p.add_argument(f"--{name}", type=float, default=getattr(ScenarioSpec, name))
     p.add_argument("--h", default=None,
                    help="comma-separated threshold grid; needs --detector")
     p.add_argument("--trials", type=int, default=1000)

@@ -74,12 +74,12 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Minor parameters of the two detectors."""
+    """Minor parameters of the two detectors, by default the configs' own."""
 
-    change_prior_f: float = 0.005
-    nu_min: float = 0.5
-    estimation_mode: EstimationMode = EstimationMode.PLUG_IN
-    jacobi_iterations: int = 1
+    change_prior_f: float = SingleCpModel.change_prior_f
+    nu_min: float = GlrConfig.nu_min
+    estimation_mode: EstimationMode = CppConfig.estimation_mode
+    jacobi_iterations: int = CppConfig.jacobi_iterations
 
 
 @dataclass(frozen=True)

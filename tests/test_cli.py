@@ -310,6 +310,23 @@ class TestSharedOptions:
         rc = main(["detect", "nile", "--nu-min", "0.5"])
         assert rc == 0
 
+    @pytest.mark.parametrize("argv", [["detect", "nile"], ["bench", "--out", "x"]])
+    def test_parsed_defaults_are_the_library_defaults(self, argv):
+        from cpdetect.cli import build_parser
+        from cpdetect.harness import DetectorParams, ScenarioSpec
+
+        args = build_parser().parse_args(argv)
+        config, glr = CppConfig(), GlrConfig()
+        parsed = (args.mode, args.f, args.variance_change, args.jacobi_iterations, args.nu_min)
+        assert parsed == (config.estimation_mode, config.model.change_prior_f,
+                          config.variance_change, config.jacobi_iterations, glr.nu_min)
+        assert DetectorParams(change_prior_f=args.f, nu_min=args.nu_min, estimation_mode=args.mode,
+                              jacobi_iterations=args.jacobi_iterations) == DetectorParams()
+        if argv[0] == "bench":
+            spec = ScenarioSpec()
+            assert (args.mu0, args.mu1, args.sigma, args.rho) == (spec.mu0, spec.mu1,
+                                                                  spec.sigma, spec.rho)
+
     def test_mode_parses_to_estimation_mode(self):
         from cpdetect.cli import build_parser
         from cpdetect.gaussian_stats import EstimationMode
