@@ -44,8 +44,8 @@ CI_PRESET = os.environ.get("CPDETECT_CI") == "1"
 def operating_point():
     spec = ScenarioSpec(mu0=0.0, mu1=1.0, sigma=1.0, rho=0.02, seed=0)
     n_trials = 200 if CI_PRESET else 1000
-    cpp = threshold_sweep(spec, DetectorKind.CPP, n_trials=n_trials)
-    glr = threshold_sweep(spec, DetectorKind.GLR, n_trials=n_trials)
+    cpp = threshold_sweep(spec, DetectorKind.CPP, n_trials=n_trials, jobs=2)
+    glr = threshold_sweep(spec, DetectorKind.GLR, n_trials=n_trials, jobs=2)
     return interpolate_at_alpha(cpp, 0.05), interpolate_at_alpha(glr, 0.05)
 
 
