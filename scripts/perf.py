@@ -3,7 +3,7 @@
     python3 scripts/perf.py --label change
     python3 scripts/perf.py --label parent --seconds 15 --out /some/dir
 
-Three measurements go into the file:
+Four measurements go into the file:
 
 * every workload that ``BENCHMARK.json`` lists, run once through
   ``perfbench/run.py --trace 0``: its end-to-end metrics and check counts;
@@ -16,10 +16,17 @@ Three measurements go into the file:
   steps around n of one long stream.  The two small sizes show the fixed
   cost of a step;
 * the size of ``src/``: its total lines, and its code lines, which leave out
-  blank lines, comments and docstrings.
+  blank lines, comments and docstrings;
+* one run of the Tier-1 suite with ``--durations=10``: its wall time, its
+  pass, fail and xfail counts (and any other count its summary line gives)
+  and its ten slowest tests.  It runs first, with one BLAS thread but before
+  the script pins itself, so tests that start worker processes can use every
+  CPU.  A run whose summary line cannot be parsed is recorded by its exit
+  code alone.
 
-Both run with one BLAS thread and pinned to the highest-numbered CPU the
-process may use, through ``perfbench/run.py``'s own ``pin_cpu``.  The file also
+The workloads and the table run with one BLAS thread and pinned to the
+highest-numbered CPU the process may use, through ``perfbench/run.py``'s own
+``pin_cpu``.  The file also
 records the environment, as ``perfbench/run.py`` reports it, and the git SHA of
 the checkout, with ``dirty`` set when the checkout has uncommitted changes.
 A workload run that crashes is recorded by its exit code alone, and the
@@ -32,6 +39,8 @@ import ast
 import importlib.util
 import io
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -148,6 +157,33 @@ def run_workload(name: str, seed: int, seconds: float) -> dict:
     return {**result, "exit_code": proc.returncode}
 
 
+#: the Tier-1 command of ROADMAP.md, reporting the ten slowest tests
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--durations=10"]
+#: "1 failed, 449 passed, 6 xfailed in 89.28s (0:01:29)", pytest's last line
+_SUMMARY = re.compile(r"^(\d+ [a-z]+)(, \d+ [a-z]+)* in [\d.]+s\b")
+_DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown) +(\S+)$")
+
+
+def run_tier1() -> dict:
+    """Exit code, wall time, counts and ten slowest tests of one Tier-1 run."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, capture_output=True, text=True, cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": path})
+    wall_s = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not _SUMMARY.match(lines[-1]):
+        return {"exit_code": proc.returncode}  # it crashed, or printed no summary
+    counts = {"passed": 0, "failed": 0, "xfailed": 0}
+    for count, word in re.findall(r"(\d+) ([a-z]+)", lines[-1].split(" in ")[0]):
+        counts[word] = int(count)
+    slowest = [{"seconds": float(m[1]), "when": m[2], "test": m[3]}
+               for m in map(_DURATION.match, lines) if m]
+    return {"exit_code": proc.returncode, "wall_s": round(wall_s, 2), "counts": counts,
+            "slowest": slowest}
+
+
 def git(*args: str) -> str:
     proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=ROOT)
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
@@ -161,6 +197,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, default=ROOT, help="directory of the file")
     args = p.parse_args(argv)
 
+    print("perf: tier-1 suite", file=sys.stderr)
+    tier1 = run_tier1()
     cpu = pin_cpu()
     names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     workloads = {}
@@ -179,6 +217,7 @@ def main(argv=None) -> int:
         "observe_ms": {"sizes": list(SIZES), "steps": STEPS, "short_streams": STREAMS,
                        "short_max": SHORT, "modes": observe_table()},
         "src_lines": source_lines(),
+        "tier1": tier1,
     }
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")

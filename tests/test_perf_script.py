@@ -78,3 +78,57 @@ def test_source_lines_leave_out_blanks_comments_and_docstrings(perf, tmp_path):
     (tmp_path / "pkg" / "b.py").write_text('X = """not a\ndocstring"""\n')
     # a.py: 11 lines, 4 of code (import, def, return and its continuation); b.py: 2 and 2
     assert perf.source_lines(tmp_path) == {"total": 13, "code": 6}
+
+
+TIER1_STDOUT = """\
+.....F..x...
+============================= slowest 10 durations =============================
+15.69s call     tests/test_acceptance.py::test_criterion_2_sigma_sweep_crossover
+6.07s setup    tests/test_acceptance.py::test_criterion_1_operating_point_delays
+=========================== short test summary info ============================
+FAILED tests/test_acceptance.py::test_criterion_3b_last_change_mode_location
+1 failed, 449 passed, 6 xfailed, 2 warnings in 89.28s (0:01:29)
+"""
+
+
+def test_tier1_run_records_counts_wall_time_and_slowest_tests(perf, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        return subprocess.CompletedProcess(cmd, 1, stdout=TIER1_STDOUT, stderr="")
+
+    monkeypatch.setattr(perf.subprocess, "run", fake_run)
+    result = perf.run_tier1()
+    (cmd, kwargs), = calls
+    assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
+    assert kwargs["env"]["PYTHONPATH"].startswith(str(perf.ROOT / "src"))
+    assert result.pop("wall_s") >= 0
+    assert result == {
+        "exit_code": 1,
+        "counts": {"passed": 449, "failed": 1, "xfailed": 6, "warnings": 2},
+        "slowest": [
+            {"seconds": 15.69, "when": "call",
+             "test": "tests/test_acceptance.py::test_criterion_2_sigma_sweep_crossover"},
+            {"seconds": 6.07, "when": "setup",
+             "test": "tests/test_acceptance.py::test_criterion_1_operating_point_delays"},
+        ],
+    }
+
+
+@pytest.mark.parametrize("stdout", ["", "ImportError while loading conftest\n",
+                                    TIER1_STDOUT.rsplit("1 failed", 1)[0]],
+                         ids=["empty", "crashed", "no-summary"])
+def test_unparsable_tier1_run_is_recorded_by_exit_code(perf, monkeypatch, stdout):
+    monkeypatch.setattr(perf.subprocess, "run",
+                        lambda cmd, **kwargs: subprocess.CompletedProcess(cmd, 4, stdout, ""))
+    assert perf.run_tier1() == {"exit_code": 4}
+
+
+def test_bench_file_holds_the_tier1_run(perf, monkeypatch, tmp_path):
+    monkeypatch.setattr(perf, "run_tier1", lambda: {"exit_code": 3})
+    monkeypatch.setattr(perf, "run_workload", lambda name, seed, seconds: {"exit_code": 0})
+    monkeypatch.setattr(perf, "pin_cpu", lambda: 0)
+    monkeypatch.setattr(perf, "observe_table", lambda: {})
+    assert perf.main(["--label", "t", "--seconds", "0", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "BENCH_t.json").read_text())["tier1"] == {"exit_code": 3}
