@@ -50,6 +50,8 @@ SEEDS = (0, 1, 2)
 #: points the step's products run by row blocks
 CUTS = (161, 190)
 TRIALS = 200
+#: worker processes for the streams and for each sweep
+JOBS = 2
 
 _SAMPLE = EstimationMode.POSTERIOR_SAMPLE
 _KNOWN = SingleCpModel(mu0=0.0, sigma=1.0)
@@ -121,19 +123,19 @@ def run(key: str, restore: bool = False) -> list[dict]:
     return runs
 
 
-def streams(restore: bool = False, jobs: int = 2) -> dict:
-    """{"config/seed": :func:`run`'s list} for every config and seed, in ``jobs``
+def streams(restore: bool = False) -> dict:
+    """{"config/seed": :func:`run`'s list} for every config and seed, in ``JOBS``
     spawned processes, which import this module by name."""
     # the costliest configs, sampled ones, come last in CONFIGS and go first here
     keys = [f"{name}/{seed}" for name in reversed(CONFIGS) for seed in SEEDS]
     spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+    with ProcessPoolExecutor(max_workers=JOBS, mp_context=spawn) as pool:
         return dict(zip(keys, pool.map(partial(run, restore=restore), keys)))
 
 
-def sweep_rows(kind: DetectorKind, jobs: int = 2) -> dict:
+def sweep_rows(kind: DetectorKind) -> dict:
     """The reference scenario's sweep rows, a column per field."""
-    rows = threshold_sweep(ScenarioSpec(), kind, n_trials=TRIALS, jobs=jobs).rows
+    rows = threshold_sweep(ScenarioSpec(), kind, n_trials=TRIALS, jobs=JOBS).rows
     return {
         "h": pack([r.h for r in rows]),
         "alpha": pack([r.alpha for r in rows]),
