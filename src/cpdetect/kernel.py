@@ -225,8 +225,14 @@ class ConditionalTables:
     exact_rows: np.ndarray
 
     def last_from_second(self, p_second: np.ndarray) -> np.ndarray:
-        """sum_j p_second[j] * (row j of the table)."""
-        out = _by_triangle(p_second * self.row_scale, self.weights, upper=True)
+        """sum_j p_second[j] * (row j of the table), by row blocks above B points."""
+        v = p_second * self.row_scale
+        if self.n <= _PRODUCT_BLOCK_ROWS:
+            out = v @ self.weights
+        else:
+            out = np.zeros(self.n + 1)
+            for r0, r1 in _row_blocks(0, self.n, _PRODUCT_BLOCK_ROWS):
+                out[r0 + 1 :] += v[r0:r1] @ self.weights[r0:r1, r0 + 1 :]
         out *= self.post
         if self.exact.size:
             out += p_second[self.exact] @ self.exact_rows
@@ -237,24 +243,9 @@ class ConditionalTables:
 _PRODUCT_BLOCK_ROWS = 160
 
 
-def _row_blocks(start: int, stop: int, rows: int = _PRODUCT_BLOCK_ROWS):
+def _row_blocks(start: int, stop: int, rows: int):
     """(r0, r1) for each block of ``rows`` rows in start..stop-1."""
     return [(r0, min(r0 + rows, stop)) for r0 in range(start, stop, rows)]
-
-
-def _by_triangle(v: np.ndarray, tri: np.ndarray, upper: bool) -> np.ndarray:
-    """v @ tri, where ``tri`` is strictly upper triangular, so its last row is
-    empty, if ``upper``, else lower triangular with its diagonal.  Up to B
-    filled rows this is one product; above, it reads only the filled triangle,
-    by blocks of B rows over the columns those rows can hold."""
-    rows = len(v) - 1 if upper else len(v)
-    if rows <= _PRODUCT_BLOCK_ROWS:
-        return v @ tri
-    out = np.zeros(tri.shape[1])
-    for r0, r1 in _row_blocks(0, rows):
-        cols = slice(r0 + 1, None) if upper else slice(r1)
-        out[cols] += v[r0:r1] @ tri[r0:r1, cols]
-    return out
 
 
 #: The ``exact`` of a table with no rows stored whole.
@@ -469,7 +460,7 @@ def _factored_rows(n, weights, css_post, config: CppConfig):
             z = weights[1 : n - 1] @ post
         else:
             z = np.concatenate([weights[r0:r1, r0 + 1 :] @ post[r0 + 1 :]
-                                for r0, r1 in _row_blocks(1, n - 1)])
+                                for r0, r1 in _row_blocks(1, n - 1, _PRODUCT_BLOCK_ROWS)])
         ok = z >= _MIN_ROW_NORM
         np.divide(1.0, z, out=row_scale[1 : n - 1], where=ok)
         if not ok.all():
@@ -651,7 +642,11 @@ def jacobi_step(
     new_last += tables.last_given_hzero * p_hzero
     memo, k = tables.memo, tables.memo.shape[0]  # memo row k holds P_k(i) for i <= k
     new_second = np.zeros(tables.n + 1)
-    new_second[: memo.shape[1]] = _by_triangle(p_last[:k], memo, upper=False)
+    if k > _PRODUCT_BLOCK_ROWS:
+        for r0, r1 in _row_blocks(0, k, _PRODUCT_BLOCK_ROWS):
+            new_second[:r1] += p_last[r0:r1] @ memo[r0:r1, :r1]
+    elif k > 0:
+        new_second[: memo.shape[1]] = memo.T @ p_last[:k]
     _clamp_unit(new_last)
     _clamp_unit(new_second)
     return new_last, new_second, _unit(1.0 - float(new_second.sum()))
@@ -767,11 +762,10 @@ class CppState:
         self.series: list[float] = np.asarray(series, dtype=float).tolist()
         self.history = PosteriorMatrix() if history is None else history
         self.p_second = np.zeros(1) if p_second is None else np.asarray(p_second, dtype=float)
-        n = self.n
-        if len(self.history) != n:
-            raise ValueError(f"history has {len(self.history)} rows, not one per point: {n}")
-        if len(self.p_second) != n + 1:
-            raise ValueError(f"p_second has {len(self.p_second)} entries, not n + 1 = {n + 1}")
+        if len(self.history) != self.n:
+            raise ValueError(f"history has {len(self.history)} rows, not one per point: {self.n}")
+        if len(self.p_second) != self.n + 1:
+            raise ValueError(f"p_second has {len(self.p_second)} entries, not n + 1: {self.n + 1}")
         # not serialized: a function of the series, which the first observe
         # after a restore refills
         self._cache = _new_cache(self.config)

@@ -1097,8 +1097,18 @@ class TestProductBlockHeight:
         vectors = np.random.default_rng(42).dirichlet(np.ones(n + 1), size=2)
         p_last, p_second = vectors[0], 0.5 * vectors[1]
         tril = np.tril(np.random.default_rng(43).random((n, n)))
+        row_blocks, heights = kernel._row_blocks, []
+
+        def spy(start, stop, rows):
+            cut = row_blocks(start, stop, rows)
+            if rows != kernel._FUSED_BLOCK_ROWS:
+                heights.append(cut[0][1] - cut[0][0])  # the first block is whole
+            return cut
+
+        monkeypatch.setattr(kernel, "_row_blocks", spy)
         for height in (1, 7, 160, n + 1):
             monkeypatch.setattr(kernel, "_PRODUCT_BLOCK_ROWS", height)
+            heights.clear()
             tables = build_conditional_tables(
                 state.prefix, config, np.random.default_rng(6), memo=memo
             )
@@ -1121,6 +1131,8 @@ class TestProductBlockHeight:
             np.testing.assert_allclose(got_last, dense.T @ p_second, rtol=1e-13, atol=1e-300)
             np.testing.assert_allclose(got_second[:n], expected_second, rtol=1e-13, atol=1e-300)
             np.testing.assert_allclose(got_tril[:n], tril.T @ p_last[:n], rtol=1e-13)
+            # every product was cut at this height, or, from n rows up, none was
+            assert set(heights) == ({height} if height < n else set())
             if height >= n:
                 # the single products over the whole operand, as written before blocking
                 if kernel._table_path(config) == "factored":

@@ -144,6 +144,7 @@ class TestKernelWithVarianceChange:
             n = len(xs)
             prefix = PrefixStats(xs)
             floor = kernel._series_floor(*prefix.arrays())
+            assert floor == pytest.approx(1e-8 * xs.var(ddof=1), rel=1e-12)
             tables = build_conditional_tables(prefix, config, rng)
             dense = dense_table(tables)
             for j in range(1, n - 3):
