@@ -29,7 +29,7 @@ from .harness import (
     DetectorKind,
     DetectorParams,
     ScenarioSpec,
-    interpolate_at_alpha,
+    delay_at_alpha,
     sigma_sweep,
     threshold_sweep,
 )
@@ -222,13 +222,10 @@ def cmd_bench(args) -> int:
     if len(sweeps) == 2:
         comparison = {}
         for kind, sweep in sweeps.items():
-            try:
-                comparison[f"{kind.value}_delay_at_alpha"] = interpolate_at_alpha(
-                    sweep, DEFAULT_ALPHA
-                )
-            except ValueError as exc:
-                comparison[f"{kind.value}_delay_at_alpha"] = None
-                comparison[f"{kind.value}_note"] = str(exc)
+            delay, reason = delay_at_alpha(sweep, DEFAULT_ALPHA)
+            comparison[f"{kind.value}_delay_at_alpha"] = None if reason else delay
+            if reason:
+                comparison[f"{kind.value}_note"] = reason
         comparison["alpha"] = DEFAULT_ALPHA
         if args.trials < 20:
             comparison["note"] = "degenerate statistics: too few trials"

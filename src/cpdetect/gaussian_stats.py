@@ -88,15 +88,16 @@ def real_number(name: str, value) -> float:
     return number
 
 
+def positive_int(name: str, value) -> int:
+    """``value`` as a Python int; a ValueError naming ``name`` unless it is an
+    integer, not a bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+    return int(value)
+
+
 def check_sigma(sigma: float) -> None:
     """A ValueError unless ``sigma`` and its square, a divisor, are positive and finite."""
     if not (sigma > 0 and 0 < sigma * sigma < math.inf):
         raise ValueError(f"known sigma must be positive and finite, and so must its "
                          f"square: sigma={sigma!r} squares to {sigma * sigma!r}")
-
-
-def variance_floor(global_variance: float | None) -> float:
-    """Floor for variance estimates; tied to the overall scale of the data."""
-    if global_variance is None or not math.isfinite(global_variance) or global_variance <= 0:
-        return DEFAULT_FLOOR_SCALE
-    return DEFAULT_FLOOR_SCALE * global_variance

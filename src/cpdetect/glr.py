@@ -37,13 +37,14 @@ class GlrState:
     """Running prefix sums about the config's mu0; one observation appended per step.
 
     The raw observations are kept too, so a snapshot restores them, and the
-    prefix sums rebuilt from them, exactly.
+    prefix sums rebuilt from them, exactly.  A state that has read ``series``
+    is built whole from it; by default it has read nothing.
     """
 
-    def __init__(self, config: GlrConfig = GlrConfig()):
+    def __init__(self, config: GlrConfig = GlrConfig(), series=()):
         self.config = config
-        self.prefix = PrefixStats(ref=config.mu0)
-        self.series: list[float] = []
+        self.prefix = PrefixStats(series, ref=config.mu0)
+        self.series: list[float] = np.asarray(series, dtype=float).tolist()
 
     @property
     def k(self) -> int:
@@ -75,10 +76,8 @@ class GlrState:
         if type(series) is not list or not all(type(x) in (int, float) for x in series):
             raise ValueError("GLR snapshot must be a JSON object whose 'series' is a list "
                              "of numbers")
-        state = cls(GlrConfig(**config))
-        for x in series:
-            state.observe(real_number("series", x))  # an int can overflow a float
-        return state
+        # an int can overflow a float
+        return cls(GlrConfig(**config), [real_number("series", x) for x in series])
 
 
 def glr_decision(state: GlrState) -> float:

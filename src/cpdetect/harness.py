@@ -3,11 +3,13 @@
 Each trial draws a changepoint onset t0 from a geometric distribution,
 streams N(mu0, sigma^2) data before the onset and N(mu1, sigma^2) from t0
 on, and runs a detector until its decision statistic crosses a threshold.
-An alarm at or before t0 is a false alarm; a trial with no alarm by
-t0 + horizon goes out of bounds.  Sweeping the threshold maps out the
-trade-off curve; delays are aggregated with a trimmed mean so that
-out-of-bounds trials (treated as infinite delay) and lucky near-t0 alarms
-do not dominate.
+A trial's outcome is its onset t0 and its alarm time t_a alone, read by
+one rule, :class:`TrialRecord`'s: an alarm at or before t0 is a false
+alarm, a trial with no alarm by t0 + horizon goes out of bounds, and any
+other alarm is a detection with delay t_a - t0 + 1.  Sweeping the threshold
+maps out the trade-off curve; delays are aggregated with a trimmed mean so
+that out-of-bounds trials (treated as infinite delay) and lucky near-t0
+alarms do not dominate.
 
 Per-trial random streams are spawned deterministically from the scenario
 seed, so repeated runs are bit-identical and both detector kinds consume
@@ -18,14 +20,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .gaussian_stats import EstimationMode, check_sigma, real_number
+from .gaussian_stats import EstimationMode, check_sigma, positive_int, real_number
 # glr_decision is re-exported for perfbench/tracing.py, which hooks harness.glr_decision
 from .glr import GlrConfig, GlrState, glr_decision
 from .kernel import CppConfig, CppState, SingleCpModel
@@ -66,10 +67,8 @@ class ScenarioSpec:
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must be in (0, 1)")
         check_sigma(self.sigma)
-        h = self.horizon_after_t0
-        if not isinstance(h, numbers.Integral) or isinstance(h, bool) or h < 1:
-            raise ValueError(f"horizon_after_t0 must be an integer >= 1, not {h!r}")
-        object.__setattr__(self, "horizon_after_t0", int(h))
+        object.__setattr__(self, "horizon_after_t0",
+                           positive_int("horizon_after_t0", self.horizon_after_t0))
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,20 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one trial at one threshold; t_a None means no alarm."""
+    """Outcome of one trial at one threshold: the onset t0 and the alarm time
+    t_a, None when there was no alarm.  An alarm at or before t0 is a false
+    alarm, no alarm is out of bounds, and any other alarm is a detection."""
 
     t0: int
     t_a: int | None
-    false_alarm: bool
-    out_of_bounds: bool
+
+    @property
+    def false_alarm(self) -> bool:
+        return self.t_a is not None and self.t_a <= self.t0
+
+    @property
+    def out_of_bounds(self) -> bool:
+        return self.t_a is None
 
     @property
     def delay(self) -> float:
@@ -111,8 +118,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    detector: DetectorKind
-    spec: ScenarioSpec
     rows: tuple[SweepRow, ...]
 
 
@@ -208,7 +213,6 @@ def threshold_sweep(
     thresholds=None,
     n_trials: int = 1000,
     params: DetectorParams = DetectorParams(),
-    trim_fraction: float = DEFAULT_TRIM,
     jobs: int = 1,
 ) -> SweepResult:
     """One sweep row per threshold, all thresholds sharing the same trials.
@@ -219,10 +223,7 @@ def threshold_sweep(
     surviving trials, get a NaN mean delay.  The trials run in
     min(jobs, n_trials) worker processes, or in this one if that is 1.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs!r}")
+    n_trials, jobs = positive_int("n_trials", n_trials), positive_int("jobs", jobs)
     if thresholds is None:
         thresholds = (
             CPP_DEFAULT_THRESHOLDS if detector_kind is DetectorKind.CPP
@@ -242,18 +243,10 @@ def threshold_sweep(
 
     rows = []
     for hi, h in enumerate(thresholds):
-        records = [
-            TrialRecord(
-                t0=t0,
-                t_a=t_a[hi],
-                false_alarm=t_a[hi] is not None and t_a[hi] <= t0,
-                out_of_bounds=t_a[hi] is None,
-            )
-            for t0, t_a in outcomes
-        ]
+        records = [TrialRecord(t0, t_a[hi]) for t0, t_a in outcomes]
         alpha = sum(r.false_alarm for r in records) / n_trials
         try:
-            delay = trimmed_mean_delay(records, trim_fraction)
+            delay = trimmed_mean_delay(records)
         except InvalidAggregateError:
             delay = math.nan
         rows.append(
@@ -266,7 +259,7 @@ def threshold_sweep(
                 n_oob=sum(r.out_of_bounds for r in records),
             )
         )
-    return SweepResult(detector=detector_kind, spec=spec, rows=tuple(rows))
+    return SweepResult(rows=tuple(rows))
 
 
 def interpolate_at_alpha(sweep: SweepResult, alpha: float = DEFAULT_ALPHA) -> float:
@@ -282,6 +275,15 @@ def interpolate_at_alpha(sweep: SweepResult, alpha: float = DEFAULT_ALPHA) -> fl
             f"alpha={alpha} outside the sweep's range [{alphas[0]}, {alphas[-1]}]"
         )
     return float(np.interp(alpha, alphas, [d for _, d in pts]))
+
+
+def delay_at_alpha(sweep: SweepResult, alpha: float = DEFAULT_ALPHA) -> tuple[float, str]:
+    """(the :func:`interpolate_at_alpha` delay, ""), or (NaN, why not) when
+    the sweep cannot give one."""
+    try:
+        return interpolate_at_alpha(sweep, alpha), ""
+    except ValueError as exc:
+        return math.nan, str(exc)
 
 
 @dataclass(frozen=True)
@@ -313,10 +315,9 @@ def sigma_sweep(
         delays, notes = [], []
         for kind in (DetectorKind.CPP, DetectorKind.GLR):
             sweep = threshold_sweep(spec, kind, n_trials=n_trials, params=params, jobs=jobs)
-            try:
-                delays.append(interpolate_at_alpha(sweep, alpha))
-            except ValueError as exc:
-                delays.append(math.nan)
-                notes.append(f"{kind.value}: {exc}")
+            delay, reason = delay_at_alpha(sweep, alpha)
+            delays.append(delay)
+            if reason:
+                notes.append(f"{kind.value}: {reason}")
         out.append(SigmaRow(float(sigma), *delays, note="; ".join(notes)))
     return out

@@ -91,13 +91,12 @@ import base64
 import json
 import math
 import mmap
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_stats import (LOG_2PI, EstimationMode, PrefixStats, check_sigma, real_number,
-                             variance_floor)
+from .gaussian_stats import (DEFAULT_FLOOR_SCALE, LOG_2PI, EstimationMode, PrefixStats,
+                             check_sigma, positive_int, real_number)
 
 
 @dataclass(frozen=True)
@@ -177,10 +176,8 @@ class CppConfig:
     variance_change: bool = False
 
     def __post_init__(self):
-        it = self.jacobi_iterations
-        if not isinstance(it, numbers.Integral) or isinstance(it, bool) or it < 1:
-            raise ValueError(f"jacobi_iterations must be an integer >= 1, not {it!r}")
-        object.__setattr__(self, "jacobi_iterations", int(it))
+        object.__setattr__(self, "jacobi_iterations",
+                           positive_int("jacobi_iterations", self.jacobi_iterations))
         if not isinstance(self.estimation_mode, EstimationMode):
             raise ValueError(f"estimation_mode must be an EstimationMode, "
                              f"not {self.estimation_mode!r}")
@@ -377,10 +374,12 @@ def _gauss_loglik(m, log_s2, s2, quad):
 
 
 def _series_floor(S: np.ndarray, Q: np.ndarray) -> float:
-    """The variance floor of the series whose prefix sums are ``S`` and ``Q``,
-    from its sample variance."""
+    """The variance floor of the series whose prefix sums are ``S`` and ``Q``:
+    DEFAULT_FLOOR_SCALE times its sample variance, or times 1 when that is 0
+    or the series has fewer than two points."""
     n = len(S) - 1
-    return variance_floor(_css(S[n], Q[n], n) / (n - 1) if n >= 2 else None)
+    variance = _css(S[n], Q[n], n) / (n - 1) if n >= 2 else 0.0
+    return DEFAULT_FLOOR_SCALE * (variance if variance > 0 else 1.0)
 
 
 def build_conditional_tables(
@@ -862,9 +861,9 @@ class CppState:
     def from_json(cls, text: str) -> "CppState":
         """Restore a :meth:`to_json` snapshot, with one constructor call.
         Raises ValueError on a document that is not one: another snapshot
-        format, a missing field or one of the wrong type, vectors whose
-        lengths do not match the series, a non-finite value or a probability
-        outside [0, 1]."""
+        format, a missing field or one of the wrong type, a config without
+        exactly its six keys, vectors whose lengths do not match the series,
+        a non-finite value or a probability outside [0, 1]."""
         doc = json.loads(text)
         if type(doc) is not dict:
             raise ValueError(f"snapshot is a JSON {type(doc).__name__}, not an object")
@@ -874,6 +873,11 @@ class CppState:
                 f"expected {SNAPSHOT_FORMAT}"
             )
         c = _field(doc, "config", dict)
+        keys = ("mu0", "sigma", "change_prior_f", "jacobi_iterations", "estimation_mode",
+                "variance_change")
+        if c.keys() != set(keys):
+            raise ValueError(f"snapshot 'config' must hold exactly {', '.join(keys)}, "
+                             f"not {', '.join(c)}")
         number = (int, float)
         config = CppConfig(
             model=SingleCpModel(

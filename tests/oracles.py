@@ -416,8 +416,8 @@ def run_trial(
         except Exception as exc:
             raise RuntimeError(f"detector failed at step {k} of trial (t0={t0})") from exc
         if g >= threshold_h:
-            return TrialRecord(t0=t0, t_a=k, false_alarm=k <= t0, out_of_bounds=False)
-    return TrialRecord(t0=t0, t_a=None, false_alarm=False, out_of_bounds=True)
+            return TrialRecord(t0, k)
+    return TrialRecord(t0, None)
 
 
 def dense_table(tables) -> np.ndarray:

@@ -12,8 +12,8 @@ from cpdetect.gaussian_stats import (
     DEFAULT_FLOOR_SCALE,
     EstimationMode,
     PrefixStats,
-    variance_floor,
 )
+from cpdetect.kernel import _series_floor
 from oracles import (
     GaussianParams,
     GaussianSegmentStats,
@@ -265,10 +265,17 @@ class TestEstimateDraw:
             estimate_draw(stats, EstimationMode.POSTERIOR_SAMPLE, rng=None)
 
 
+def series_floor(xs) -> float:
+    return _series_floor(*PrefixStats(xs).arrays())
+
+
 class TestVarianceFloor:
     def test_scales_with_global_variance(self):
-        assert variance_floor(4.0) == pytest.approx(4.0 * DEFAULT_FLOOR_SCALE)
+        xs = [1.0, 3.0, 5.0]
+        assert np.var(xs, ddof=1) == 4.0
+        assert series_floor(xs) == pytest.approx(np.var(xs, ddof=1) * DEFAULT_FLOOR_SCALE)
 
     def test_defaults_when_undefined(self):
-        assert variance_floor(None) == DEFAULT_FLOOR_SCALE
-        assert variance_floor(0.0) == DEFAULT_FLOOR_SCALE
+        assert np.var([2.5] * 3, ddof=1) == 0.0
+        assert series_floor([2.5] * 3) == DEFAULT_FLOOR_SCALE
+        assert series_floor([2.5]) == DEFAULT_FLOOR_SCALE  # one point: no sample variance

@@ -176,6 +176,15 @@ class TestGlrState:
         assert clone.series == xs.tolist()
         assert clone.decision_g() == state.decision_g()
 
+    def test_built_whole_equals_streamed(self):
+        xs = 1e8 + np.random.default_rng(6).standard_normal(40)
+        streamed = feed(xs, GlrConfig(mu0=1e8, sigma=1.0))
+        built = GlrState(streamed.config, streamed.series)
+        assert built.series == streamed.series
+        for got, expected in zip(built.prefix.arrays(), streamed.prefix.arrays()):
+            assert got.tobytes() == expected.tobytes()
+        assert built.decision_g() == streamed.decision_g()
+
     @pytest.mark.parametrize(
         "text, match",
         [("[]", "GLR snapshot"), ("{%s}" % CONFIG, "GLR snapshot"),

@@ -29,11 +29,10 @@ FAST_SPEC = ScenarioSpec(mu0=0.0, mu1=1.0, sigma=1.0, rho=0.02, seed=0)
 
 
 def record(delay=None, t0=50, false_alarm=False, oob=False):
+    """A detection with this delay, a false alarm at t0, or no alarm."""
     if oob:
-        return TrialRecord(t0=t0, t_a=None, false_alarm=False, out_of_bounds=True)
-    return TrialRecord(
-        t0=t0, t_a=t0 + delay - 1, false_alarm=false_alarm, out_of_bounds=False
-    )
+        return TrialRecord(t0, None)
+    return TrialRecord(t0, t0 if false_alarm else t0 + delay - 1)
 
 
 class TestSampleT0:
@@ -102,25 +101,30 @@ class TestRunTrial:
             assert 2 <= rec.delay <= 101
 
     def test_alarm_at_t0_is_false_alarm(self):
-        rec = TrialRecord(t0=10, t_a=10, false_alarm=True, out_of_bounds=False)
-        assert rec.false_alarm
-        first_detection = TrialRecord(t0=10, t_a=11, false_alarm=False, out_of_bounds=False)
+        rec = TrialRecord(t0=10, t_a=10)
+        assert rec.false_alarm and not rec.out_of_bounds
+        first_detection = TrialRecord(t0=10, t_a=11)
+        assert not first_detection.false_alarm and not first_detection.out_of_bounds
         assert first_detection.delay == 2
+        no_alarm = TrialRecord(t0=10, t_a=None)
+        assert no_alarm.out_of_bounds and not no_alarm.false_alarm
+        assert no_alarm.delay == math.inf
 
 
 class TestTrimmedMeanDelay:
     def test_one_to_hundred(self):
-        records = [record(delay=d) for d in range(1, 101)]
-        assert trimmed_mean_delay(records, 0.05) == pytest.approx(50.5)
+        # a detection's delay is at least 2: an alarm at t0 is a false alarm
+        records = [record(delay=d) for d in range(2, 102)]
+        assert trimmed_mean_delay(records, 0.05) == pytest.approx(51.5)
 
     def test_all_equal(self):
         records = [record(delay=7) for _ in range(50)]
         assert trimmed_mean_delay(records, 0.05) == pytest.approx(7.0)
 
     def test_three_percent_infinities_are_trimmed_away(self):
-        records = [record(delay=d) for d in range(1, 98)] + [record(oob=True)] * 3
-        # 100 survivors, trim 5 from each end: delays 6..95 remain
-        assert trimmed_mean_delay(records, 0.05) == pytest.approx(50.5)
+        records = [record(delay=d) for d in range(2, 99)] + [record(oob=True)] * 3
+        # 100 survivors, trim 5 from each end: delays 7..96 remain
+        assert trimmed_mean_delay(records, 0.05) == pytest.approx(51.5)
 
     def test_oob_overflow_raises_with_count(self):
         records = [record(delay=10)] * 90 + [record(oob=True)] * 10
@@ -128,12 +132,12 @@ class TestTrimmedMeanDelay:
             trimmed_mean_delay(records, 0.05)
 
     def test_too_few_survivors_raises(self):
-        records = [record(delay=5)] * 10 + [record(delay=1, false_alarm=True)] * 40
+        records = [record(delay=5)] * 10 + [record(false_alarm=True)] * 40
         with pytest.raises(InvalidAggregateError):
             trimmed_mean_delay(records, 0.05)
 
     def test_false_alarms_are_excluded(self):
-        records = [record(delay=10)] * 40 + [record(delay=1, false_alarm=True)] * 40
+        records = [record(delay=10)] * 40 + [record(false_alarm=True)] * 40
         assert trimmed_mean_delay(records, 0.05) == pytest.approx(10.0)
 
     def test_robust_to_perturbing_largest_four_percent(self):
@@ -194,7 +198,7 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[], n_trials=10)
 
-    @pytest.mark.parametrize("n_trials", [0, -1])
+    @pytest.mark.parametrize("n_trials", [0, -1, 2.5, True])
     def test_no_trials_rejected(self, n_trials):
         with pytest.raises(ValueError, match="n_trials"):
             threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[3.0], n_trials=n_trials)
@@ -238,7 +242,7 @@ class TestThresholdSweep:
         parallel = threshold_sweep(FAST_SPEC, kind, thresholds=thresholds, n_trials=40, jobs=2)
         assert serial.rows == parallel.rows
 
-    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             threshold_sweep(FAST_SPEC, DetectorKind.GLR, thresholds=[3.0], n_trials=5, jobs=jobs)
@@ -275,7 +279,7 @@ class TestInterpolateAtAlpha:
             SweepRow(detector="glr", h=float(i), alpha=a, mean_delay=d, n_trials=100, n_oob=0)
             for i, (a, d) in enumerate(pts)
         )
-        return SweepResult(detector=DetectorKind.GLR, spec=FAST_SPEC, rows=rows)
+        return SweepResult(rows=rows)
 
     def test_exact_grid_hit(self):
         sweep = self._sweep([(0.01, 20.0), (0.05, 12.0), (0.2, 8.0)])

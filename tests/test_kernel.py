@@ -482,7 +482,8 @@ class TestSerialization:
     @pytest.mark.parametrize("case", ["list-format", "format-2", "truncated-history",
                                       "short-p_second", "jacobi-2.5", "jacobi-string",
                                       "json-list", "format-2-only", "no-config",
-                                      "numeric-series", "empty-rng_state"])
+                                      "numeric-series", "empty-rng_state",
+                                      "config-key-unknown"])
     def test_from_json_rejects_malformed_snapshots(self, case):
         state = run_series(np.random.default_rng(10).standard_normal(12))
         doc = json.loads(state.to_json())
@@ -515,6 +516,9 @@ class TestSerialization:
         elif case == "empty-rng_state":
             doc["rng_state"] = {}
             match = "rng_state"
+        elif case == "config-key-unknown":  # the deleted window cap
+            doc["config"]["window_cap"] = 50
+            match = "exactly mu0, sigma, change_prior_f"
         else:
             doc["p_second"] = kernel._pack(state.p_second[2:])
             match = "p_second"
