@@ -3,8 +3,8 @@
 Each trial draws a changepoint onset t0 from a geometric distribution,
 streams N(mu0, sigma^2) data before the onset and N(mu1, sigma^2) from t0
 on, and runs a detector until its decision statistic crosses a threshold.
-A trial's outcome is its onset t0 and its alarm time t_a alone, read by
-one rule, :class:`TrialRecord`'s: an alarm at or before t0 is a false
+A trial's outcome is its onset t0 and alarm time t_a, which
+:class:`TrialRecord` reads by one rule: an alarm at or before t0 is a false
 alarm, a trial with no alarm by t0 + horizon goes out of bounds, and any
 other alarm is a detection with delay t_a - t0 + 1.  Sweeping the threshold
 maps out the trade-off curve; delays are aggregated with a trimmed mean so
